@@ -3,7 +3,8 @@
 Subcommands: run-drs, check-equivalence, check-cycle, witness-skew,
 classify-resolvent, moreau-check.  Machine output (CSV or JSON) goes to
 --out or stdout; human-readable summary lines go to stderr so stdout
-stays parseable.  Exit codes: 0 success, 1 error, 2 non-convergence.
+stays parseable.  Exit codes: 0 success, 1 error (a run whose iterates
+turn non-finite included), 2 non-convergence.
 
 Problem files are JSON documents like
 
@@ -23,7 +24,15 @@ import sys
 import numpy as np
 
 from .cyclic import classify_resolvent, drs_map_matrix, sample_cycles, skew_three_cycle
-from .drs import CONVERGED, DEFAULT_MAX_ITERS, DEFAULT_STOP_TOL, DrsProblem, run, solution_certificate
+from .drs import (
+    CONVERGED,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_STOP_TOL,
+    NONFINITE,
+    DrsProblem,
+    run,
+    solution_certificate,
+)
 from .equivalence import compare_formulations
 from .errors import DrslabError
 from .operators import moreau_residual, operator_from_dict
@@ -129,6 +138,9 @@ def cmd_run_drs(args):
     problem = _build_problem(args, doc)
     z0 = _start_point(problem, doc)
     record = run(problem, z0)
+    if record.status == NONFINITE:
+        _say(f"error: iterates became non-finite at iteration {len(record)}")
+        return EXIT_ERROR
     certified = solution_certificate(problem, record.final_z, 100.0 * problem.stop_tol)
     if args.format == "json":
         payload = record.to_dict()

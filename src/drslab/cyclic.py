@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drs import drs_step
+from .drs import relaxed_step
 from .errors import (
     DimensionMismatch,
     DrslabError,
@@ -250,21 +250,22 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
 
 
 def drs_map_matrix(problem, dim=None):
-    """Dense matrix of the splitting map z -> drs_step(problem, z).
+    """Dense matrix of the relaxed splitting map z -> relaxed_step(problem, z).
 
-    Columns are the images of the basis vectors; ten seeded probes then
-    verify linearity to 1e-10 and raise NotLinear on any mismatch.
+    That is (1-gamma)*I + gamma*T for the plain splitting map T.  Columns
+    are the images of the basis vectors; ten seeded probes then verify
+    linearity to 1e-10 and raise NotLinear on any mismatch.
     """
     n = dim if dim is not None else problem.dim
     if n is None:
         raise ValueError("problem dimension cannot be inferred; pass dim=")
     if problem.dim is not None and n != problem.dim:
         raise DimensionMismatch(f"dim={n} conflicts with problem dimension {problem.dim}")
-    T = drs_step(problem, np.eye(n)).T
+    T = relaxed_step(problem, np.eye(n)).T
     rng = np.random.default_rng(problem.seed)
     for _ in range(10):
         x = rng.standard_normal(n)
-        err = float(np.linalg.norm(drs_step(problem, x) - T @ x))
+        err = float(np.linalg.norm(relaxed_step(problem, x) - T @ x))
         if err > 1e-10 * max(1.0, float(np.linalg.norm(x))):
             raise NotLinear(f"splitting map deviates from linearity by {err:.3e}")
     return T

@@ -14,8 +14,9 @@ accepted but only nonexpansive, so the driver warns about it.
 from __future__ import annotations
 
 import io
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .operators import MonotoneOperator, graph_member, operator_from_dict, resol
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
+NONFINITE = "nonfinite"
 
 DEFAULT_STOP_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
@@ -192,9 +194,10 @@ def relaxed_step(problem, z):
 def run(problem, z0):
     """Iterate the relaxed step from z0 until the residual test or max_iters.
 
-    Stops when ||z^{k+1} - z^k|| <= stop_tol (status "converged") or
-    after max_iters steps (status "max_iters").  The residual is not
-    monotone in general and is recorded as observed.
+    Stops when ||z^{k+1} - z^k|| <= stop_tol (status "converged"), at the
+    first step whose residual is not finite (status "nonfinite", with that
+    step as the last row), or after max_iters steps (status "max_iters").
+    The residual is not monotone in general and is recorded as observed.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float))
     if z.ndim != 1:
@@ -220,6 +223,9 @@ def run(problem, z0):
         z = z_next
         if res <= problem.stop_tol:
             status = CONVERGED
+            break
+        if not math.isfinite(res):
+            status = NONFINITE
             break
     return TrajectoryRecord(
         k=np.array(ks, dtype=int),

@@ -4,11 +4,21 @@ Every variant evaluates its resolvent
 
     J(tau, x) = the unique p with  x in p + tau * op(p),
 
-either in closed form or through a single dense linear solve.  Exactness
+either in closed form or through a single dense matrix product.  Exactness
 is the point: it lets the splitting identities implemented downstream be
 checked to near machine precision instead of to solver tolerance.
 
-Operators are immutable values.  ``resolve`` accepts a single point
+Cost model.  The dense variants (``LinearRelation``, ``Quadratic`` and a
+coupled ``Block2x2``) invert ``I + tau*S`` once, on their first resolve at a
+given tau, and keep that one n x n matrix (n^2 floats) on the instance; a
+resolve at the same tau is then a single product, and a resolve at a new tau
+replaces the kept matrix.  ``Inverse`` resolves its inner operator at
+``1/tau``, so calls through the Moreau identity share one matrix whenever
+``1/(1/tau) == tau`` in floating point.  ``AffineConstraint`` builds its
+projector once, at construction.
+
+Operators are immutable values; the kept matrix is a cache that never
+changes a result.  ``resolve`` accepts a single point
 (shape ``(n,)``) or a stack of points (shape ``(m, n)``, one point per
 row) and preserves the input layout.
 """
@@ -59,6 +69,26 @@ def _check_monotone(M, name):
         raise NonMonotone(
             f"{name} is not monotone: min symmetric eigenvalue {lam[0]:.3e}"
         )
+
+
+def _resolvent_matrix(op, tau, generator, singular_message):
+    """The read-only matrix (I + tau*S)^{-1}, with S = generator().
+
+    The matrix is kept on ``op`` in one slot keyed by tau, so it is
+    computed once per operator and step size; a new tau replaces it.
+    ``singular_message`` is formatted with ``tau`` only on failure.
+    """
+    slot = getattr(op, "_resolvent", None)
+    if slot is not None and slot[0] == tau:
+        return slot[1]
+    S = generator()
+    try:
+        R = np.linalg.inv(np.eye(S.shape[0]) + tau * S)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(singular_message.format(tau=tau)) from exc
+    R.flags.writeable = False
+    object.__setattr__(op, "_resolvent", (tau, R))
+    return R
 
 
 class MonotoneOperator:
@@ -125,7 +155,7 @@ class ScaledIdentity(MonotoneOperator):
 class LinearRelation(MonotoneOperator):
     """x -> M x for a monotone matrix M (symmetric part PSD).
 
-    The resolvent solves (I + tau*M) p = x densely.
+    The resolvent is p = (I + tau*M)^{-1} x.
     """
 
     M: np.ndarray
@@ -141,11 +171,10 @@ class LinearRelation(MonotoneOperator):
         return self.M.shape[0]
 
     def _resolve(self, tau, X):
-        A = np.eye(self.dim) + tau * self.M
-        try:
-            return np.linalg.solve(A, X.T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"I + tau*M is singular for tau={tau}") from exc
+        R = _resolvent_matrix(
+            self, tau, lambda: self.M, "I + tau*M is singular for tau={tau}"
+        )
+        return X @ R.T
 
     def _graph_residual(self, y, u):
         return float(np.linalg.norm(self.M @ y - u))
@@ -158,8 +187,8 @@ class LinearRelation(MonotoneOperator):
 class Quadratic(MonotoneOperator):
     """Gradient of the convex quadratic 0.5*x^T Q x + q^T x.
 
-    Q must be symmetric PSD.  The resolvent solves
-    (I + tau*Q) p = x - tau*q.
+    Q must be symmetric PSD.  The resolvent is
+    p = (I + tau*Q)^{-1} (x - tau*q).
     """
 
     Q: np.ndarray
@@ -187,11 +216,10 @@ class Quadratic(MonotoneOperator):
         return self.Q.shape[0]
 
     def _resolve(self, tau, X):
-        A = np.eye(self.dim) + tau * self.Q
-        try:
-            return np.linalg.solve(A, (X - tau * self.q).T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"I + tau*Q is singular for tau={tau}") from exc
+        R = _resolvent_matrix(
+            self, tau, lambda: self.Q, "I + tau*Q is singular for tau={tau}"
+        )
+        return (X - tau * self.q) @ R.T
 
     def _graph_residual(self, y, u):
         return float(np.linalg.norm(self.Q @ y + self.q - u))
@@ -256,7 +284,9 @@ class AffineConstraint(MonotoneOperator):
     """Normal cone of {x : E x = e}; resolvent is the exact projection.
 
     E must have full row rank (checked by Cholesky of E E^T), so the
-    projection x - E^T (E E^T)^{-1} (E x - e) is a plain dense solve.
+    projection x - E^T (E E^T)^{-1} (E x - e) is P x + c with the projector
+    P = I - E^T (E E^T)^{-1} E and offset c = E^T (E E^T)^{-1} e, both
+    built once at construction.
     """
 
     E: np.ndarray
@@ -276,19 +306,21 @@ class AffineConstraint(MonotoneOperator):
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError as exc:
             raise ValueError("E must have full row rank") from exc
-        gram.flags.writeable = False
+        projector = np.eye(E.shape[1]) - E.T @ np.linalg.solve(gram, E)
+        offset = E.T @ np.linalg.solve(gram, e)
+        projector.flags.writeable = False
+        offset.flags.writeable = False
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_projector", projector)
+        object.__setattr__(self, "_offset", offset)
 
     @property
     def dim(self):
         return self.E.shape[1]
 
     def _resolve(self, tau, X):
-        resid = X @ self.E.T - self.e
-        mult = np.linalg.solve(self._gram, resid.T).T
-        return X - mult @ self.E
+        return X @ self._projector.T + self._offset
 
     def to_dict(self):
         return {"type": "prox_affine", "E": self.E.tolist(), "e": self.e.tolist()}
@@ -339,7 +371,7 @@ class Block2x2(MonotoneOperator):
 
     with A acting on R^{n1}, B on R^{n2} and C of shape (n2, n1).  With
     C = 0 the resolvent splits into the blockwise resolvents; otherwise it
-    is a dense block solve and requires both A and B to be
+    is the dense product (I + tau*S)^{-1} x and requires both A and B to be
     linear-representable, anything else raises UnsupportedComposition.
     """
 
@@ -378,21 +410,6 @@ class Block2x2(MonotoneOperator):
             return False
         return self.A.is_subdifferential and self.B.is_subdifferential
 
-    def _coupled_matrix(self):
-        cached = getattr(self, "_smat", None)
-        if cached is None:
-            try:
-                MA = linear_matrix(self.A, self.n1)
-                MB = linear_matrix(self.B, self.n2)
-            except NotLinear as exc:
-                raise UnsupportedComposition(
-                    "coupled resolvent needs linear-representable blocks"
-                ) from exc
-            cached = np.block([[MA, -self.C.T], [self.C, MB]])
-            cached.flags.writeable = False
-            object.__setattr__(self, "_smat", cached)
-        return cached
-
     def _resolve(self, tau, X):
         if not np.any(self.C):
             # zero coupling: the block system splits exactly
@@ -400,12 +417,18 @@ class Block2x2(MonotoneOperator):
             left = self.A._resolve(tau, X[:, :n1])
             right = self.B._resolve(tau, X[:, n1:])
             return np.concatenate([left, right], axis=1)
-        S = self._coupled_matrix()
-        A = np.eye(self.dim) + tau * S
         try:
-            return np.linalg.solve(A, X.T).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem("coupled block system is singular") from exc
+            R = _resolvent_matrix(
+                self,
+                tau,
+                lambda: linear_matrix(self, self.dim),
+                "coupled block system is singular",
+            )
+        except NotLinear as exc:
+            raise UnsupportedComposition(
+                "coupled resolvent needs linear-representable blocks"
+            ) from exc
+        return X @ R.T
 
     def _graph_residual(self, y, u):
         n1 = self.n1

@@ -1,0 +1,103 @@
+"""Failure modes that `run` and the CLI report instead of passing over."""
+
+import json
+
+import numpy as np
+import pytest
+
+import drslab as dl
+from drslab.cli import EXIT_ERROR, EXIT_OK, main
+
+L1_QUAD = {
+    "A": {"type": "prox_l1", "weight": 1.0},
+    "B": {"type": "prox_quadratic", "Q": [[1.0]], "q": [-1.0]},
+    "tau": 1.0,
+}
+
+# A = 4*I, B = 0: the plain splitting map is z -> z / 5, so the relaxed map
+# (1-gamma) + gamma/5 is negative for gamma = 1.9 and has no monotone generator.
+SCALED_ZERO = {
+    "A": {"type": "scaled_identity", "alpha": 4.0},
+    "B": {"type": "zero"},
+    "dim": 1,
+}
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# ---------------------------------------------------------------------------
+# non-finite iterates
+
+
+# numpy warns about the non-finite arithmetic; the status is what is checked
+ignore_nonfinite_warnings = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@ignore_nonfinite_warnings
+@pytest.mark.parametrize("start", [np.nan, np.inf])
+def test_run_stops_at_first_nonfinite_residual(start):
+    problem = dl.DrsProblem(dl.L1(1.0), dl.Quadratic([[1.0]], [-1.0]))
+    record = dl.run(problem, [start])
+    assert record.status == dl.NONFINITE
+    assert len(record) == 1
+    assert not np.isfinite(record.residual[-1])
+
+
+@ignore_nonfinite_warnings
+def test_run_stops_when_a_finite_start_overflows():
+    # with B = 0 the reflection 2x - z = 2z - z overflows for z near the max float
+    problem = dl.DrsProblem(dl.Zero(), dl.Zero())
+    record = dl.run(problem, [1.7e308])
+    assert record.status == dl.NONFINITE
+    assert len(record) == 1
+    assert np.isinf(record.final_z[0])
+
+
+@ignore_nonfinite_warnings
+def test_run_drs_nonfinite_start_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(L1_QUAD, z0=[float("nan")])))
+    code = main(["run-drs", "--problem", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert "error: iterates became non-finite at iteration 1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# classify-resolvent --gamma
+
+
+def test_drs_map_matrix_is_relaxed_map(catalog_map):
+    base = catalog_map["random_monotone_5d"].problem
+    T1 = dl.drs_map_matrix(base)
+    for gamma in (0.5, 1.5):
+        relaxed = dl.DrsProblem(base.A, base.B, tau=base.tau, gamma=gamma, seed=base.seed)
+        T = dl.drs_map_matrix(relaxed)
+        assert np.allclose(T, (1.0 - gamma) * np.eye(5) + gamma * T1, rtol=0.0, atol=1e-14)
+
+
+def test_classify_resolvent_honours_gamma(tmp_path, capsys):
+    path = write_doc(tmp_path, SCALED_ZERO)
+    outputs = {}
+    for gamma in ("1.0", "0.5"):
+        code = main(["classify-resolvent", "--problem", path, "--gamma", gamma])
+        assert code == EXIT_OK
+        outputs[gamma] = json.loads(capsys.readouterr().out)
+    assert outputs["1.0"]["T"][0] == pytest.approx([0.2], abs=1e-15)
+    assert outputs["0.5"]["T"][0] == pytest.approx([0.6], abs=1e-15)
+    assert outputs["0.5"]["verdict"] == dl.PROXIMAL
+
+
+def test_classify_resolvent_overrelaxed_nonmonotone_is_an_error_exit(tmp_path, capsys):
+    path = write_doc(tmp_path, SCALED_ZERO)
+    code = main(["classify-resolvent", "--problem", path, "--gamma", "1.9"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: NonMonotone:")
+    assert "Traceback" not in captured.err
