@@ -9,6 +9,13 @@ The governing update for a pair (A, B) with step size tau is
 and the relaxed variant blends z+ with z:  (1-gamma)*z + gamma*z+.
 For gamma in (0, 2) the relaxed map is gamma/2-averaged; gamma = 2 is
 accepted but only nonexpansive, so the driver warns about it.
+
+Cost model.  ``splitting_pass`` checks its inputs the way ``resolve`` does
+and then calls the unchecked row kernel ``_splitting_rows``.  ``run``
+checks z0 once, before its loop, and iterates that kernel on a (1, n) row,
+so an iteration is two resolvent kernel calls (``op._resolve``) plus a few
+array operations: the reflection, the update, the relaxed blend and the
+residual.
 """
 
 from __future__ import annotations
@@ -21,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .operators import MonotoneOperator, graph_member, operator_from_dict, resolve
+from .operators import (
+    MonotoneOperator,
+    _checked_rows,
+    graph_member,
+    operator_from_dict,
+    resolve,
+)
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
@@ -31,14 +44,40 @@ DEFAULT_STOP_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 
 
+def _splitting_rows(A, B, tau, Z):
+    """The splitting update on a row stack Z, without input checks."""
+    X = B._resolve(tau, Z)
+    W = A._resolve(tau, 2.0 * X - Z)
+    return Z - X + W, X, W
+
+
 def splitting_pass(A, B, tau, z):
     """One raw splitting update; returns (z_next, x, w).
 
     Accepts a single point or a row stack, like ``resolve``.
     """
-    x = resolve(B, tau, z)
-    w = resolve(A, tau, 2.0 * x - z)
-    return z - x + w, x, w
+    tau, Z, single = _checked_rows(tau, z, B, A)
+    out = _splitting_rows(A, B, tau, Z)
+    return tuple(P[0] for P in out) if single else out
+
+
+def _start_vector(problem, z0):
+    """z0 as a float vector of the problem's dimension."""
+    z = np.atleast_1d(np.asarray(z0, dtype=float))
+    if z.ndim != 1:
+        raise DimensionMismatch(f"z0 must be a vector, got shape {z.shape}")
+    if problem.dim is not None and z.shape[0] != problem.dim:
+        raise DimensionMismatch(
+            f"z0 has dimension {z.shape[0]} but the problem expects {problem.dim}"
+        )
+    return z
+
+
+def _relaxed(gamma, z, z_tilde):
+    """The relaxed blend (1-gamma)*z + gamma*z_tilde; z_tilde itself at gamma = 1."""
+    if gamma == 1.0:
+        return z_tilde
+    return (1.0 - gamma) * z + gamma * z_tilde
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +224,7 @@ def drs_step(problem, z):
 def relaxed_step(problem, z):
     """One relaxed step (1-gamma)*z + gamma*drs_step(z)."""
     z = np.asarray(z, dtype=float)
-    z_next = drs_step(problem, z)
-    if problem.gamma == 1.0:
-        return z_next
-    return (1.0 - problem.gamma) * z + problem.gamma * z_next
+    return _relaxed(problem.gamma, z, drs_step(problem, z))
 
 
 def run(problem, z0):
@@ -199,23 +235,15 @@ def run(problem, z0):
     step as the last row), or after max_iters steps (status "max_iters").
     The residual is not monotone in general and is recorded as observed.
     """
-    z = np.atleast_1d(np.asarray(z0, dtype=float))
-    if z.ndim != 1:
-        raise DimensionMismatch(f"z0 must be a vector, got shape {z.shape}")
-    if problem.dim is not None and z.shape[0] != problem.dim:
-        raise DimensionMismatch(
-            f"z0 has dimension {z.shape[0]} but the problem expects {problem.dim}"
-        )
-    ks, zs, xs, ws, rs = [], [], [], [], []
+    z = _start_vector(problem, z0)[None, :]
+    A, B, tau, gamma = problem.A, problem.B, problem.tau, problem.gamma
+    zs, xs, ws, rs = [], [], [], []
     status = MAX_ITERS
-    for k in range(1, problem.max_iters + 1):
-        z_tilde, x, w = splitting_pass(problem.A, problem.B, problem.tau, z)
-        if problem.gamma == 1.0:
-            z_next = z_tilde
-        else:
-            z_next = (1.0 - problem.gamma) * z + problem.gamma * z_tilde
-        res = float(np.linalg.norm(z_next - z))
-        ks.append(k)
+    for _ in range(problem.max_iters):
+        z_tilde, x, w = _splitting_rows(A, B, tau, z)
+        z_next = _relaxed(gamma, z, z_tilde)
+        d = (z_next - z).ravel()
+        res = math.sqrt(d.dot(d))  # exactly np.linalg.norm of a real vector
         zs.append(z_next)
         xs.append(x)
         ws.append(w)
@@ -227,11 +255,12 @@ def run(problem, z0):
         if not math.isfinite(res):
             status = NONFINITE
             break
+    # one array per field, so that keeping one field keeps no other alive
     return TrajectoryRecord(
-        k=np.array(ks, dtype=int),
-        z=np.vstack(zs),
-        x=np.vstack(xs),
-        w=np.vstack(ws),
+        k=np.arange(1, len(rs) + 1),
+        z=np.concatenate(zs),
+        x=np.concatenate(xs),
+        w=np.concatenate(ws),
         residual=np.array(rs, dtype=float),
         status=status,
     )

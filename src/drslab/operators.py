@@ -493,6 +493,23 @@ def _check_point_dim(op, n):
         )
 
 
+def _check_tau(tau):
+    tau = float(tau)
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return tau
+
+
+def _checked_rows(tau, x, *ops):
+    """The checks of ``resolve``: tau as a positive float, x as a row stack
+    (with a flag for a single point), and the row length against each op."""
+    tau = _check_tau(tau)
+    X, single = _rows(x)
+    for op in ops:
+        _check_point_dim(op, X.shape[1])
+    return tau, X, single
+
+
 def resolve(op, tau, x):
     """Evaluate p = (I + tau*op)^{-1} x.
 
@@ -507,11 +524,7 @@ def resolve(op, tau, x):
     -------
     ndarray with the same layout as ``x``.
     """
-    tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    X, single = _rows(x)
-    _check_point_dim(op, X.shape[1])
+    tau, X, single = _checked_rows(tau, x, op)
     P = op._resolve(tau, X)
     return P[0] if single else P
 

@@ -28,9 +28,9 @@ from .errors import DimensionMismatch
 from .operators import (
     Inverse,
     MonotoneOperator,
+    _check_tau,
     graph_residual,
     linear_matrix,
-    resolve,
 )
 
 
@@ -131,15 +131,27 @@ def _check_state_dim(sys, d):
         raise DimensionMismatch(f"state dimension {d} does not match system dimension {sys.n}")
 
 
+def _lifted_operators(sys):
+    """(Inverse(A), Inverse(B)), the operators the lifted update resolves at
+    1/tau, once that step size is checked."""
+    _check_tau(1.0 / sys.tau)
+    return Inverse(sys.A), Inverse(sys.B)
+
+
+def _lifted_rows(inv_a, inv_b, tau, Z):
+    """The lifted update on a row stack Z of z's, without input checks;
+    returns (u+, s+, z+)."""
+    W = Z / tau
+    U = inv_b._resolve(1.0 / tau, W)
+    S = inv_a._resolve(1.0 / tau, W - 2.0 * U)
+    return U, S, Z - tau * (S + U)
+
+
 def ppa_step(sys, state):
     """One lifted update; the result depends on the input through z only."""
     _check_state_dim(sys, state.dim)
-    tau = sys.tau
-    w = state.z / tau
-    u_next = resolve(Inverse(sys.B), 1.0 / tau, w)
-    s_next = resolve(Inverse(sys.A), 1.0 / tau, w - 2.0 * u_next)
-    z_next = state.z - tau * (s_next + u_next)
-    return PpaState(u_next, s_next, z_next)
+    U, S, Z = _lifted_rows(*_lifted_operators(sys), sys.tau, state.z[None, :])
+    return PpaState(U[0], S[0], Z[0])
 
 
 def ppa_inclusion_residual(sys, prev, nxt):

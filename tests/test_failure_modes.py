@@ -69,6 +69,39 @@ def test_run_drs_nonfinite_start_exits_with_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# non-finite trajectories in the equivalence check
+
+NONFINITE_STARTS = [
+    ("random_monotone_5d", np.full(5, 1e308)),
+    ("l1_quadratic_1d", np.array([np.nan])),
+]
+
+
+@ignore_nonfinite_warnings
+@pytest.mark.parametrize("entry, z0", NONFINITE_STARTS)
+def test_nonfinite_trajectories_do_not_read_as_agreement(catalog_map, entry, z0):
+    report = dl.compare_formulations(catalog_map[entry].problem, z0, 100)
+    assert all(np.isnan(d) for d in report.pairwise.values())
+    assert np.isnan(report.max_deviation)
+
+
+def test_max_deviation_is_the_largest_finite_pairwise_deviation(catalog_map):
+    report = dl.compare_formulations(catalog_map["random_monotone_5d"].problem, np.ones(5), 50)
+    assert report.max_deviation == max(report.pairwise.values())
+
+
+@ignore_nonfinite_warnings
+@pytest.mark.parametrize("entry, z0", NONFINITE_STARTS)
+def test_check_equivalence_nonfinite_start_exits_with_error(tmp_path, capsys, catalog_map, entry, z0):
+    doc = catalog_map[entry].problem.to_dict()
+    doc["z0"] = [float(v) for v in z0]
+    code = main(["check-equivalence", "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert "max deviation nan" in captured.err
+
+
+# ---------------------------------------------------------------------------
 # classify-resolvent --gamma
 
 
