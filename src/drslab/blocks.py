@@ -1,9 +1,10 @@
-"""Reduced forms of the splitting map on the lifted block system.
+"""The lifted block system and the reduced forms of the splitting map.
 
-A :class:`BlockSystem` pairs two operators with a step size tau and an
-ambient dimension n.  The splitting update, viewed in the rescaled
-coordinate v = z / sqrt(tau), is the resolvent of the parallel-type
-composition built from
+A :class:`BlockSystem`, the one system type (``ppa.PpaSystem`` is the
+same class), pairs two operators with a step size tau and an ambient
+dimension n.  The splitting update, viewed in the rescaled coordinate
+v = z / sqrt(tau), is the resolvent of the parallel-type composition
+built from
 
     L = [[B^{-1}, -tau*I], [tau*I, A^{-1}]]      (2n x 2n)
     K = sqrt(tau) * [I  I]                       (n x 2n)
@@ -31,7 +32,7 @@ import numpy as np
 
 from .drs import splitting_pass
 from .errors import DimensionMismatch, NonInvertibleBlock, SingularSystem
-from .operators import MonotoneOperator, linear_matrix, operator_from_dict
+from .operators import MonotoneOperator, _check_tau, linear_matrix, operator_from_dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +46,8 @@ class BlockSystem:
     root_tau: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         object.__setattr__(self, "n", int(self.n))
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         for name, op in (("A", self.A), ("B", self.B)):
@@ -59,6 +58,25 @@ class BlockSystem:
         # computed once and shared by every path so the coordinate link
         # cannot drift between formulations
         object.__setattr__(self, "root_tau", math.sqrt(self.tau))
+
+    def metric_factor(self):
+        """The 3n x n factor D = (0, 0, (1/sqrt(tau)) I)^T with Q = D D^T."""
+        n = self.n
+        D = np.zeros((3 * n, n))
+        D[2 * n :, :] = np.eye(n) / self.root_tau
+        return D
+
+    def metric_matrix(self):
+        """The degenerate metric Q, assembled exactly as D D^T."""
+        D = self.metric_factor()
+        return D @ D.T
+
+    def lifted_matrix(self):
+        """Dense 3n x 3n lifted operator [[L, -E^T], [E, 0]], E = [I I], from
+        ``lifted_blocks``' L; needs invertible linear blocks."""
+        L, _ = lifted_blocks(self)
+        E = np.hstack([np.eye(self.n)] * 2)
+        return np.block([[L, -E.T], [E, np.zeros((self.n, self.n))]])
 
     def to_dict(self):
         return {"A": self.A.to_dict(), "B": self.B.to_dict(), "tau": self.tau, "n": self.n}
@@ -109,7 +127,8 @@ def _check_vec(sys, v):
 
 
 def lifted_blocks(sys):
-    """Assemble the dense (L, K) pair for an invertible linear system.
+    """Assemble the dense (L, K) pair for an invertible linear system; the
+    only place the two blocks are inverted.
 
     Raises NotLinear when a block is not linear-representable and
     NonInvertibleBlock when a block matrix is singular.
@@ -131,13 +150,17 @@ def lifted_blocks(sys):
     return L, K
 
 
-def coupling_gram(sys):
-    """The dense n x n matrix K L^{-1} K^T."""
-    L, K = lifted_blocks(sys)
+def _gram(L, K):
+    """K L^{-1} K^T for an assembled (L, K) pair."""
     try:
         return K @ np.linalg.solve(L, K.T)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("lifted block matrix L is singular") from exc
+
+
+def coupling_gram(sys):
+    """The dense n x n matrix K L^{-1} K^T."""
+    return _gram(*lifted_blocks(sys))
 
 
 def reduced_resolvent_via_drs(sys, v):
@@ -202,7 +225,7 @@ def moreau_complement_form(sys, v):
 def elimination_pair(sys):
     """Solve for the (R1, R2) elimination pair of an invertible system."""
     L, K = lifted_blocks(sys)
-    W = coupling_gram(sys)
+    W = _gram(L, K)
     try:
         R2 = np.linalg.solve(W, np.eye(sys.n) / sys.root_tau)
     except np.linalg.LinAlgError as exc:

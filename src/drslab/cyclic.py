@@ -59,8 +59,8 @@ class CycleWitness:
     xi: float | None = None
 
     def __post_init__(self):
-        pts = tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in self.points)
-        vals = tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in self.values)
+        pts = tuple(np.array(p, dtype=float, ndmin=1) for p in self.points)
+        vals = tuple(np.array(v, dtype=float, ndmin=1) for v in self.values)
         if len(pts) != len(vals):
             raise LengthMismatch(f"{len(pts)} points but {len(vals)} values")
         if len(pts) < 2:

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .operators import (
     MonotoneOperator,
+    _check_tau,
     _checked_rows,
     graph_member,
     operator_from_dict,
@@ -93,13 +94,11 @@ class DrsProblem:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "stop_tol", float(self.stop_tol))
         object.__setattr__(self, "seed", int(self.seed))
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         if not 0.0 < self.gamma <= 2.0:
             raise ValueError(f"gamma must lie in (0, 2], got {self.gamma}")
         if self.gamma == 2.0:

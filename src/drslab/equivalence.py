@@ -21,7 +21,8 @@ import numpy as np
 from .blocks import BlockSystem, coupling_gram, reduced_resolvent_via_drs
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
-from .ppa import PpaSystem, _lifted_operators, _lifted_rows
+from .operators import Inverse
+from .ppa import _lifted_rows
 
 RECURSION = "recursion"
 LIFTED = "lifted"
@@ -59,8 +60,7 @@ def formulation_trajectories(problem, z0, iters):
     n = z0.shape[0]
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    sys_blocks = BlockSystem(problem.A, problem.B, problem.tau, n)
-    sys_ppa = PpaSystem(problem.A, problem.B, problem.tau, n)
+    system = BlockSystem(problem.A, problem.B, problem.tau, n)
     tau = problem.tau
 
     # classical recursion (unrelaxed), on the drs row kernel
@@ -71,7 +71,7 @@ def formulation_trajectories(problem, z0, iters):
         zs[k + 1] = z_next[0]
 
     # lifted 4-variable form, z component, on the ppa row kernel
-    inv_a, inv_b = _lifted_operators(sys_ppa)
+    inv_a, inv_b = Inverse(problem.A), Inverse(problem.B)
     zl = np.empty((iters + 1, n))
     zl[0] = z0
     for k in range(iters):
@@ -79,12 +79,12 @@ def formulation_trajectories(problem, z0, iters):
         zl[k + 1] = z_next[0]
 
     # reduced form in v coordinates
-    rt = sys_blocks.root_tau
+    rt = system.root_tau
     zr = np.empty((iters + 1, n))
     zr[0] = z0
     v = z0 / rt
     try:
-        W = coupling_gram(sys_blocks)
+        W = coupling_gram(system)
         step_matrix = np.eye(n) + W
         reduced_path = REDUCED_DIRECT
 
@@ -95,7 +95,7 @@ def formulation_trajectories(problem, z0, iters):
         reduced_path = REDUCED_FALLBACK
 
         def reduced_step(v):
-            return reduced_resolvent_via_drs(sys_blocks, v)
+            return reduced_resolvent_via_drs(system, v)
 
     for k in range(iters):
         v = reduced_step(v)

@@ -494,9 +494,10 @@ def _check_point_dim(op, n):
 
 
 def _check_tau(tau):
+    """The one step-size check: tau as a float, positive and finite."""
     tau = float(tau)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return tau
 
 

@@ -15,75 +15,23 @@ which is a proximal-point step for the block operator
 under the degenerate metric Q = blockdiag(0, 0, (1/tau) I).  Only the z
 component carries metric weight: Q has rank n out of 3n, u and s are
 auxiliary, and z+ depends on the incoming state through z alone.
+
+``PpaSystem`` is ``blocks.BlockSystem``, the system type of the reduced paths.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import BlockSystem
 from .errors import DimensionMismatch
-from .operators import (
-    Inverse,
-    MonotoneOperator,
-    _check_tau,
-    graph_residual,
-    linear_matrix,
-)
+from .operators import Inverse, graph_residual
 
 
-@dataclass(frozen=True, eq=False)
-class PpaSystem:
-    """Operator pair plus step size, with the lifted matrices on demand."""
-
-    A: MonotoneOperator
-    B: MonotoneOperator
-    tau: float
-    n: int
-    root_tau: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "n", int(self.n))
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        for name, op in (("A", self.A), ("B", self.B)):
-            if op.dim is not None and op.dim != self.n:
-                raise DimensionMismatch(
-                    f"{name} acts on dimension {op.dim}, but the system is {self.n}-dimensional"
-                )
-        object.__setattr__(self, "root_tau", math.sqrt(self.tau))
-
-    def metric_factor(self):
-        """The 3n x n factor D = (0, 0, (1/sqrt(tau)) I)^T with Q = D D^T."""
-        n = self.n
-        D = np.zeros((3 * n, n))
-        D[2 * n :, :] = np.eye(n) / self.root_tau
-        return D
-
-    def metric_matrix(self):
-        """The degenerate metric Q, assembled exactly as D D^T."""
-        D = self.metric_factor()
-        return D @ D.T
-
-    def lifted_matrix(self):
-        """Dense 3n x 3n lifted operator; needs invertible linear blocks."""
-        n = self.n
-        inv_a = np.linalg.inv(linear_matrix(self.A, n))
-        inv_b = np.linalg.inv(linear_matrix(self.B, n))
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        return np.block(
-            [
-                [inv_b, -self.tau * eye, -eye],
-                [self.tau * eye, inv_a, -eye],
-                [eye, eye, zero],
-            ]
-        )
+#: The lifted form runs on the one system type of the reduced paths.
+PpaSystem = BlockSystem
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +44,7 @@ class PpaState:
 
     def __post_init__(self):
         for name in ("u", "s", "z"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            arr = np.array(getattr(self, name), dtype=float, ndmin=1)
             if arr.ndim != 1:
                 raise DimensionMismatch(f"{name} must be a vector, got shape {arr.shape}")
             arr.flags.writeable = False
@@ -131,13 +79,6 @@ def _check_state_dim(sys, d):
         raise DimensionMismatch(f"state dimension {d} does not match system dimension {sys.n}")
 
 
-def _lifted_operators(sys):
-    """(Inverse(A), Inverse(B)), the operators the lifted update resolves at
-    1/tau, once that step size is checked."""
-    _check_tau(1.0 / sys.tau)
-    return Inverse(sys.A), Inverse(sys.B)
-
-
 def _lifted_rows(inv_a, inv_b, tau, Z):
     """The lifted update on a row stack Z of z's, without input checks;
     returns (u+, s+, z+)."""
@@ -150,7 +91,7 @@ def _lifted_rows(inv_a, inv_b, tau, Z):
 def ppa_step(sys, state):
     """One lifted update; the result depends on the input through z only."""
     _check_state_dim(sys, state.dim)
-    U, S, Z = _lifted_rows(*_lifted_operators(sys), sys.tau, state.z[None, :])
+    U, S, Z = _lifted_rows(Inverse(sys.A), Inverse(sys.B), sys.tau, state.z[None, :])
     return PpaState(U[0], S[0], Z[0])
 
 

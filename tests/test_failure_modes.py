@@ -134,3 +134,64 @@ def test_classify_resolvent_overrelaxed_nonmonotone_is_an_error_exit(tmp_path, c
     assert captured.out == ""
     assert captured.err.startswith("error: NonMonotone:")
     assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# tau = inf is not a step size
+
+ZERO_ZERO = {"A": {"type": "zero"}, "B": {"type": "zero"}, "dim": 1, "z0": [1.0]}
+
+
+@pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0, -1.0])
+def test_system_constructors_reject_nonpositive_or_nonfinite_tau(tau):
+    for build in (
+        lambda: dl.DrsProblem(dl.Zero(), dl.Zero(), tau=tau),
+        lambda: dl.BlockSystem(dl.Zero(), dl.Zero(), tau, 1),
+        lambda: dl.PpaSystem(dl.Zero(), dl.Zero(), tau, 1),
+        lambda: dl.resolve(dl.Zero(), tau, [1.0]),
+    ):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            build()
+
+
+@pytest.mark.parametrize("command", ["run-drs", "check-equivalence"])
+def test_cli_infinite_tau_is_an_error_exit_naming_inf(tmp_path, capsys, command):
+    path = write_doc(tmp_path, ZERO_ZERO)
+    code = main([command, "--problem", path, "--tau", "inf"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert "tau must be positive" in captured.err
+    assert "got inf" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# frozen results leave the caller's arrays alone
+
+
+def test_initial_state_leaves_the_start_writeable():
+    z0 = np.array([1.0, 2.0])
+    state = dl.initial_state(dl.PpaSystem(dl.Zero(), dl.Zero(), 1.0, 2), z0)
+    assert z0.flags.writeable
+    assert not state.z.flags.writeable
+    z0[0] = 5.0
+    assert state.z[0] == 1.0
+
+
+def test_ppa_state_and_witness_copy_their_inputs():
+    u, s, z = np.zeros(2), np.ones(2), np.array([1.0, -1.0])
+    dl.PpaState(u, s, z)
+    points = (np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    values = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    dl.CycleWitness(points, values, 0.0)
+    for arr in (u, s, z) + points + values:
+        assert arr.flags.writeable
+
+
+def test_sampled_witness_owns_its_points():
+    op = dl.LinearRelation(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    witness = dl.sample_cycles(op, n_max=6, trials=1000, seed=7)
+    assert witness is not None
+    for arr in witness.points + witness.values:
+        assert arr.base is None
+        assert not arr.flags.writeable
