@@ -32,11 +32,11 @@ import numpy as np
 
 from .drs import splitting_pass
 from .errors import DimensionMismatch, NonInvertibleBlock, SingularSystem
-from .operators import MonotoneOperator, _check_tau, linear_matrix, operator_from_dict
+from .operators import Document, MonotoneOperator, _check_tau, linear_matrix
 
 
 @dataclass(frozen=True, eq=False)
-class BlockSystem:
+class BlockSystem(Document):
     """Two operators, a step size, and the ambient dimension they act on."""
 
     A: MonotoneOperator
@@ -77,18 +77,6 @@ class BlockSystem:
         L, _ = lifted_blocks(self)
         E = np.hstack([np.eye(self.n)] * 2)
         return np.block([[L, -E.T], [E, np.zeros((self.n, self.n))]])
-
-    def to_dict(self):
-        return {"A": self.A.to_dict(), "B": self.B.to_dict(), "tau": self.tau, "n": self.n}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            operator_from_dict(data["A"]),
-            operator_from_dict(data["B"]),
-            data["tau"],
-            data["n"],
-        )
 
 
 @dataclass(frozen=True, eq=False)

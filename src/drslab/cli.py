@@ -73,21 +73,24 @@ def _operator(doc, key):
         raise CliError(f"bad {key!r} operator: {exc}") from exc
 
 
-def _pick(flag_value, doc, key, default):
-    if flag_value is not None:
-        return flag_value
-    return doc.get(key, default)
+def _number(cast, flag_value, doc, key, default):
+    """The flag, else the file's key, else the default, through cast."""
+    value = flag_value if flag_value is not None else doc.get(key, default)
+    try:
+        return cast(value)
+    except TypeError:  # null, a list or an object; a bad string raises ValueError
+        raise CliError(f"{key!r} must be a number, got {json.dumps(value)}") from None
 
 
 def _build_problem(args, doc):
     return DrsProblem(
         _operator(doc, "A"),
         _operator(doc, "B"),
-        tau=float(_pick(args.tau, doc, "tau", 1.0)),
-        gamma=float(_pick(getattr(args, "gamma", None), doc, "gamma", 1.0)),
-        max_iters=int(_pick(getattr(args, "iters", None), doc, "max_iters", DEFAULT_MAX_ITERS)),
-        stop_tol=float(_pick(getattr(args, "stop_tol", None), doc, "stop_tol", DEFAULT_STOP_TOL)),
-        seed=int(_pick(args.seed, doc, "seed", 0)),
+        tau=_number(float, args.tau, doc, "tau", 1.0),
+        gamma=_number(float, getattr(args, "gamma", None), doc, "gamma", 1.0),
+        max_iters=_number(int, getattr(args, "iters", None), doc, "max_iters", DEFAULT_MAX_ITERS),
+        stop_tol=_number(float, getattr(args, "stop_tol", None), doc, "stop_tol", DEFAULT_STOP_TOL),
+        seed=_number(int, args.seed, doc, "seed", 0),
     )
 
 
@@ -99,7 +102,7 @@ def _problem_dim(problem, doc, z0=None):
     if problem.dim is not None:
         return problem.dim
     if "dim" in doc:
-        return int(doc["dim"])
+        return _number(int, None, doc, "dim", None)
     raise CliError("dimension cannot be inferred; add a 'dim' or 'z0' key")
 
 
@@ -180,7 +183,7 @@ def cmd_check_cycle(args):
     key = "op" if "op" in doc else "A"
     op = _operator(doc, key)
     dim = doc.get("dim")
-    seed = int(_pick(args.seed, doc, "seed", 0))
+    seed = _number(int, args.seed, doc, "seed", 0)
     witness = sample_cycles(op, args.n_max, args.trials, seed, dim=dim)
     payload = {
         "n_max": args.n_max,
@@ -244,12 +247,12 @@ def cmd_moreau_check(args):
         named = [(key, _operator(doc, key)) for key in ("A", "B") if key in doc]
     if not named:
         raise CliError("moreau-check needs an 'op' or 'A'/'B' operator")
-    tau = float(_pick(args.tau, doc, "tau", 1.0))
+    tau = _number(float, args.tau, doc, "tau", 1.0)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     per_op = {}
     worst = 0.0
     for key, op in named:
-        d = op.dim if op.dim is not None else int(doc.get("dim", 1))
+        d = op.dim if op.dim is not None else _number(int, None, doc, "dim", 1)
         residuals = [
             moreau_residual(op, tau, rng.standard_normal(d)) for _ in range(args.trials)
         ]
@@ -275,9 +278,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, iters_help):
+    def common(p, iters_help, tau=True):
         p.add_argument("--problem", required=True, help="path to the problem JSON file")
-        p.add_argument("--tau", type=float, default=None, help="step size (overrides the file)")
+        if tau:
+            p.add_argument("--tau", type=float, default=None, help="step size (overrides the file)")
         p.add_argument("--seed", type=int, default=None, help="seed for any randomness (default 0)")
         p.add_argument("--out", default=None, help="write machine output here instead of stdout")
         if iters_help:
@@ -295,13 +299,13 @@ def build_parser():
     p.set_defaults(func=cmd_check_equivalence)
 
     p = sub.add_parser("check-cycle", help="random search for a cyclic-monotonicity violation")
-    common(p, None)
+    common(p, None, tau=False)
     p.add_argument("--n-max", dest="n_max", type=int, default=6, help="largest cycle length")
     p.add_argument("--trials", type=int, default=1000, help="tuples per cycle length")
     p.set_defaults(func=cmd_check_cycle)
 
     p = sub.add_parser("witness-skew", help="deterministic three-point witness for a skew coupling")
-    common(p, None)
+    common(p, None, tau=False)
     p.set_defaults(func=cmd_witness_skew)
 
     p = sub.add_parser("classify-resolvent", help="classify the splitting map of a linear problem")

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedSampling,
     ZeroCoupling,
 )
-from .operators import Block2x2, resolve
+from .operators import Block2x2, Document, resolve
 
 #: A cycle sum above this is treated as a genuine violation.
 TOL_VIOLATION = 1e-8
@@ -46,7 +46,7 @@ INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True, eq=False)
-class CycleWitness:
+class CycleWitness(Document):
     """A tuple of graph points with its cycle sum.
 
     ``xi`` carries the closed-form value when the witness comes from the
@@ -90,28 +90,15 @@ class CycleWitness:
         return self.cycle_sum > TOL_VIOLATION
 
     def to_dict(self):
-        out = {
-            "n": self.n,
-            "points": [p.tolist() for p in self.points],
-            "values": [v.tolist() for v in self.values],
-            "cycle_sum": self.cycle_sum,
-        }
-        if self.xi is not None:
-            out["xi"] = self.xi
+        # the document also names the cycle length, and leaves out an absent xi
+        out = {"n": self.n, **super().to_dict()}
+        if self.xi is None:
+            del out["xi"]
         return out
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            tuple(data["points"]),
-            tuple(data["values"]),
-            data["cycle_sum"],
-            data.get("xi"),
-        )
 
 
 @dataclass(frozen=True, eq=False)
-class ResolventClassification:
+class ResolventClassification(Document):
     """Classifier output: the recovered generator and a verdict."""
 
     recovered_M: np.ndarray
@@ -123,13 +110,6 @@ class ResolventClassification:
         M.flags.writeable = False
         object.__setattr__(self, "recovered_M", M)
         object.__setattr__(self, "symmetry_defect", float(self.symmetry_defect))
-
-    def to_dict(self):
-        return {
-            "recovered_M": self.recovered_M.tolist(),
-            "symmetry_defect": self.symmetry_defect,
-            "verdict": self.verdict,
-        }
 
 
 def cycle_sum(points, values):

@@ -29,11 +29,11 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .operators import (
+    Document,
     MonotoneOperator,
     _check_tau,
     _checked_rows,
     graph_member,
-    operator_from_dict,
     resolve,
 )
 
@@ -82,7 +82,7 @@ def _relaxed(gamma, z, z_tilde):
 
 
 @dataclass(frozen=True, eq=False)
-class DrsProblem:
+class DrsProblem(Document):
     """Immutable problem description consumed by the engine."""
 
     A: MonotoneOperator
@@ -121,32 +121,9 @@ class DrsProblem:
         """Intrinsic dimension, or None when both operators are dimension-free."""
         return self.A.dim if self.A.dim is not None else self.B.dim
 
-    def to_dict(self):
-        return {
-            "A": self.A.to_dict(),
-            "B": self.B.to_dict(),
-            "tau": self.tau,
-            "gamma": self.gamma,
-            "max_iters": self.max_iters,
-            "stop_tol": self.stop_tol,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            operator_from_dict(data["A"]),
-            operator_from_dict(data["B"]),
-            tau=data.get("tau", 1.0),
-            gamma=data.get("gamma", 1.0),
-            max_iters=data.get("max_iters", DEFAULT_MAX_ITERS),
-            stop_tol=data.get("stop_tol", DEFAULT_STOP_TOL),
-            seed=data.get("seed", 0),
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
+class TrajectoryRecord(Document):
     """Dense record of a splitting run.
 
     Row k (1-based, contiguous) stores the new iterate z^k together with
@@ -202,16 +179,6 @@ class TrajectoryRecord:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "k": self.k.tolist(),
-            "z": self.z.tolist(),
-            "x": self.x.tolist(),
-            "w": self.w.tolist(),
-            "residual": self.residual.tolist(),
-        }
 
 
 def drs_step(problem, z):

@@ -21,7 +21,7 @@ import numpy as np
 from .blocks import BlockSystem, coupling_gram, reduced_resolvent_via_drs
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
-from .operators import Inverse
+from .operators import Document, Inverse
 from .ppa import _lifted_rows
 
 RECURSION = "recursion"
@@ -33,21 +33,13 @@ REDUCED_FALLBACK = "drs"
 
 
 @dataclass(frozen=True, eq=False)
-class EquivalenceReport:
+class EquivalenceReport(Document):
     """Pairwise trajectory deviations between the three formulations."""
 
     max_deviation: float
     iters: int
     reduced_path: str
     pairwise: dict
-
-    def to_dict(self):
-        return {
-            "max_deviation": self.max_deviation,
-            "iters": self.iters,
-            "reduced_path": self.reduced_path,
-            "pairwise": dict(self.pairwise),
-        }
 
 
 def formulation_trajectories(problem, z0, iters):

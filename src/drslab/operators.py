@@ -21,11 +21,18 @@ Operators are immutable values; the kept matrix is a cache that never
 changes a result.  ``resolve`` accepts a single point
 (shape ``(n,)``) or a stack of points (shape ``(m, n)``, one point per
 row) and preserves the input layout.
+
+Documents.  The JSON document format of the package lives here, in
+``Document``: the operators, and the problems, systems, states, witnesses,
+records and reports of the other modules, write each constructor field by
+name (arrays as nested lists) and are rebuilt from those fields.  An
+operator's document adds its ``type`` tag, from which ``operator_from_dict``
+picks the class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -91,12 +98,50 @@ def _resolvent_matrix(op, tau, generator, singular_message):
     return R
 
 
-class MonotoneOperator:
+def _encode(value):
+    """A field value in its JSON-ready form."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Document):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+class Document:
+    """Base class of the dataclasses that round-trip through JSON documents.
+
+    A document holds every constructor field by name.  ``from_dict`` passes
+    the fields back to the constructor in field order, decoding a field
+    annotated ``MonotoneOperator`` with ``operator_from_dict``; a field with
+    a default may be missing, and any other key is ignored.
+    """
+
+    def to_dict(self):
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self) if f.init}
+
+    @classmethod
+    def from_dict(cls, data):
+        kwargs = {}
+        for f in fields(cls):
+            if f.init and (f.default is MISSING or f.name in data):
+                value = data[f.name]
+                if f.type == "MonotoneOperator":  # annotations are postponed: text
+                    value = operator_from_dict(value)
+                kwargs[f.name] = value
+        return cls(**kwargs)
+
+
+class MonotoneOperator(Document):
     """Base class for the operator variants.
 
     Subclasses implement ``_resolve`` on row stacks and may override
     ``_graph_residual`` when a sharper membership test than the generic
-    resolvent characterization is available.
+    resolvent characterization is available.  Each variant names its
+    document ``tag``; its document is ``{"type": tag, **fields}``.
     """
 
     #: True when the operator is the subdifferential of a convex function.
@@ -116,18 +161,17 @@ class MonotoneOperator:
         return float(np.linalg.norm(y - self._resolve(1.0, (y + u)[None, :])[0]))
 
     def to_dict(self):
-        raise NotImplementedError
+        return {"type": self.tag, **super().to_dict()}
 
 
 @dataclass(frozen=True, eq=False)
 class Zero(MonotoneOperator):
     """The zero operator x -> {0}; its resolvent is the identity."""
 
+    tag = "zero"
+
     def _resolve(self, tau, X):
         return X.copy()
-
-    def to_dict(self):
-        return {"type": "zero"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +179,8 @@ class ScaledIdentity(MonotoneOperator):
     """x -> alpha * x with alpha >= 0; resolvent is x / (1 + tau*alpha)."""
 
     alpha: float
+
+    tag = "scaled_identity"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -147,9 +193,6 @@ class ScaledIdentity(MonotoneOperator):
     def _graph_residual(self, y, u):
         return float(np.linalg.norm(self.alpha * y - u))
 
-    def to_dict(self):
-        return {"type": "scaled_identity", "alpha": self.alpha}
-
 
 @dataclass(frozen=True, eq=False)
 class LinearRelation(MonotoneOperator):
@@ -159,6 +202,8 @@ class LinearRelation(MonotoneOperator):
     """
 
     M: np.ndarray
+
+    tag = "linear"
 
     def __post_init__(self):
         M = _frozen_array(self.M, 2, "M")
@@ -179,9 +224,6 @@ class LinearRelation(MonotoneOperator):
     def _graph_residual(self, y, u):
         return float(np.linalg.norm(self.M @ y - u))
 
-    def to_dict(self):
-        return {"type": "linear", "M": self.M.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Quadratic(MonotoneOperator):
@@ -194,6 +236,7 @@ class Quadratic(MonotoneOperator):
     Q: np.ndarray
     q: np.ndarray
 
+    tag = "prox_quadratic"
     is_subdifferential = True
 
     def __post_init__(self):
@@ -224,9 +267,6 @@ class Quadratic(MonotoneOperator):
     def _graph_residual(self, y, u):
         return float(np.linalg.norm(self.Q @ y + self.q - u))
 
-    def to_dict(self):
-        return {"type": "prox_quadratic", "Q": self.Q.tolist(), "q": self.q.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class L1(MonotoneOperator):
@@ -234,6 +274,7 @@ class L1(MonotoneOperator):
 
     weight: float
 
+    tag = "prox_l1"
     is_subdifferential = True
 
     def __post_init__(self):
@@ -245,9 +286,6 @@ class L1(MonotoneOperator):
         t = tau * self.weight
         return np.sign(X) * np.maximum(np.abs(X) - t, 0.0)
 
-    def to_dict(self):
-        return {"type": "prox_l1", "weight": self.weight}
-
 
 @dataclass(frozen=True, eq=False)
 class Box(MonotoneOperator):
@@ -256,6 +294,7 @@ class Box(MonotoneOperator):
     lo: np.ndarray
     hi: np.ndarray
 
+    tag = "prox_box"
     is_subdifferential = True
 
     def __post_init__(self):
@@ -275,9 +314,6 @@ class Box(MonotoneOperator):
     def _resolve(self, tau, X):
         return np.clip(X, self.lo, self.hi)
 
-    def to_dict(self):
-        return {"type": "prox_box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class AffineConstraint(MonotoneOperator):
@@ -292,6 +328,7 @@ class AffineConstraint(MonotoneOperator):
     E: np.ndarray
     e: np.ndarray
 
+    tag = "prox_affine"
     is_subdifferential = True
 
     def __post_init__(self):
@@ -322,9 +359,6 @@ class AffineConstraint(MonotoneOperator):
     def _resolve(self, tau, X):
         return X @ self._projector.T + self._offset
 
-    def to_dict(self):
-        return {"type": "prox_affine", "E": self.E.tolist(), "e": self.e.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class Inverse(MonotoneOperator):
@@ -337,6 +371,8 @@ class Inverse(MonotoneOperator):
     """
 
     inner: MonotoneOperator
+
+    tag = "inverse"
 
     def __post_init__(self):
         if not isinstance(self.inner, MonotoneOperator):
@@ -359,9 +395,6 @@ class Inverse(MonotoneOperator):
         # (y, u) in gra(inner^{-1})  iff  (u, y) in gra(inner)
         return self.inner._graph_residual(u, y)
 
-    def to_dict(self):
-        return {"type": "inverse", "inner": self.inner.to_dict()}
-
 
 @dataclass(frozen=True, eq=False)
 class Block2x2(MonotoneOperator):
@@ -378,6 +411,8 @@ class Block2x2(MonotoneOperator):
     A: MonotoneOperator
     B: MonotoneOperator
     C: np.ndarray
+
+    tag = "block2x2"
 
     def __post_init__(self):
         C = _frozen_array(self.C, 2, "C")
@@ -437,14 +472,6 @@ class Block2x2(MonotoneOperator):
         ra = self.A._graph_residual(y1, u1 + self.C.T @ y2)
         rb = self.B._graph_residual(y2, u2 - self.C @ y1)
         return max(ra, rb)
-
-    def to_dict(self):
-        return {
-            "type": "block2x2",
-            "A": self.A.to_dict(),
-            "B": self.B.to_dict(),
-            "C": self.C.tolist(),
-        }
 
 
 def linear_matrix(op, n):
@@ -555,19 +582,9 @@ def moreau_residual(op, tau, x):
     return float(np.linalg.norm(p + float(tau) * q - x))
 
 
-_DECODERS = {
-    "zero": lambda d: Zero(),
-    "scaled_identity": lambda d: ScaledIdentity(d["alpha"]),
-    "linear": lambda d: LinearRelation(d["M"]),
-    "prox_quadratic": lambda d: Quadratic(d["Q"], d["q"]),
-    "prox_l1": lambda d: L1(d["weight"]),
-    "prox_box": lambda d: Box(d["lo"], d["hi"]),
-    "prox_affine": lambda d: AffineConstraint(d["E"], d["e"]),
-    "inverse": lambda d: Inverse(operator_from_dict(d["inner"])),
-    "block2x2": lambda d: Block2x2(
-        operator_from_dict(d["A"]), operator_from_dict(d["B"]), d["C"]
-    ),
-}
+_DECODERS = {cls.tag: cls for cls in (
+    Zero, ScaledIdentity, LinearRelation, Quadratic, L1, Box, AffineConstraint, Inverse, Block2x2
+)}
 
 
 def operator_from_dict(data):
@@ -577,11 +594,11 @@ def operator_from_dict(data):
     except (TypeError, KeyError):
         raise ValueError("operator document needs a 'type' tag") from None
     try:
-        decoder = _DECODERS[tag]
-    except KeyError:
+        cls = _DECODERS[tag]
+    except (KeyError, TypeError):  # a TypeError is an unhashable tag
         raise ValueError(f"unknown operator type {tag!r}") from None
     try:
-        return decoder(data)
+        return cls.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"operator {tag!r} is missing field {exc}") from None
 

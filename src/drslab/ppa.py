@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import BlockSystem
 from .errors import DimensionMismatch
-from .operators import Inverse, graph_residual
+from .operators import Document, Inverse, graph_residual
 
 
 #: The lifted form runs on the one system type of the reduced paths.
@@ -35,7 +35,7 @@ PpaSystem = BlockSystem
 
 
 @dataclass(frozen=True, eq=False)
-class PpaState:
+class PpaState(Document):
     """Lifted iterate (u, s, z); u and s are the auxiliary components."""
 
     u: np.ndarray
@@ -57,13 +57,6 @@ class PpaState:
     @property
     def dim(self):
         return self.z.shape[0]
-
-    def to_dict(self):
-        return {"u": self.u.tolist(), "s": self.s.tolist(), "z": self.z.tolist()}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(data["u"], data["s"], data["z"])
 
 
 def initial_state(sys, z0):

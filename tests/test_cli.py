@@ -131,6 +131,47 @@ def test_underdetermined_dimension_exits_one(tmp_path, capsys):
     assert "dim" in captured.err
 
 
+@pytest.mark.parametrize("key", ["tau", "gamma", "max_iters", "stop_tol", "seed"])
+def test_null_setting_exits_one_naming_the_key(tmp_path, capsys, key):
+    path = write_doc(tmp_path, dict(L1_QUAD, z0=[5.0], **{key: None}))
+    code = main(["run-drs", "--problem", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {key!r} must be a number, got null\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("check-equivalence", {"A": {"type": "zero"}, "B": {"type": "zero"}, "dim": None}),
+        ("classify-resolvent", {"A": {"type": "zero"}, "B": {"type": "zero"}, "dim": None}),
+        ("moreau-check", {"op": {"type": "zero"}, "dim": None}),
+    ],
+)
+def test_null_dim_exits_one(tmp_path, capsys, command, doc):
+    code = main([command, "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == "error: 'dim' must be a number, got null\n"
+
+
+def test_unhashable_operator_tag_exits_one(tmp_path, capsys):
+    path = write_doc(tmp_path, {"A": {"type": []}, "B": {"type": "zero"}, "z0": [1.0]})
+    code = main(["run-drs", "--problem", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == "error: bad 'A' operator: unknown operator type []\n"
+
+
+def test_unparsable_setting_keeps_its_message(tmp_path, capsys):
+    path = write_doc(tmp_path, dict(L1_QUAD, z0=[5.0], tau="abc"))
+    code = main(["run-drs", "--problem", path])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == "error: could not convert string to float: 'abc'\n"
+
+
 # ---------------------------------------------------------------------------
 # check-equivalence
 
@@ -216,6 +257,19 @@ def test_check_cycle_accepts_a_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert json.loads(captured.out)["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "command, doc, value",
+    [("check-cycle", SKEW, "-5"), ("witness-skew", {"C": [[1.0]]}, "inf")],
+)
+def test_commands_without_a_step_size_reject_tau(tmp_path, capsys, command, doc, value):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--problem", write_doc(tmp_path, doc), "--tau", value])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --tau {value}" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,20 @@ def test_operator_from_dict_rejects_unknown_tag():
         dl.operator_from_dict({"type": "mystery"})
     with pytest.raises(ValueError):
         dl.operator_from_dict({})
+    block = {"type": "block2x2", "A": {"type": "linear"}, "B": {"type": "zero"}, "C": [[0.0]]}
+    cases = [
+        ({"type": "mystery"}, "unknown operator type 'mystery'"),
+        ({"type": []}, "unknown operator type []"),
+        ({}, "operator document needs a 'type' tag"),
+        ({"type": "scaled_identity"}, "operator 'scaled_identity' is missing field 'alpha'"),
+        ({"type": "prox_quadratic", "Q": [[1.0]]}, "operator 'prox_quadratic' is missing field 'q'"),
+        (block, "operator 'linear' is missing field 'M'"),
+        ({"type": "inverse", "inner": 5}, "operator document needs a 'type' tag"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError) as info:
+            dl.operator_from_dict(data)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
