@@ -84,7 +84,6 @@ from .operators import (
     linear_matrix,
     moreau_residual,
     operator_from_dict,
-    operator_to_dict,
     resolve,
     symmetric_part,
 )
@@ -98,82 +97,3 @@ from .ppa import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AffineConstraint",
-    "Block2x2",
-    "BlockSystem",
-    "Box",
-    "CONVERGED",
-    "CatalogEntry",
-    "CycleWitness",
-    "DimensionMismatch",
-    "DrsProblem",
-    "DrslabError",
-    "EliminationPair",
-    "EquivalenceReport",
-    "INCONCLUSIVE",
-    "Inverse",
-    "L1",
-    "LIFTED",
-    "LengthMismatch",
-    "LinearRelation",
-    "MAX_ITERS",
-    "MonotoneOperator",
-    "NONFINITE",
-    "NOT_PROXIMAL",
-    "NonInvertibleBlock",
-    "NonMonotone",
-    "NotLinear",
-    "NotSymmetricPD",
-    "PROXIMAL",
-    "PpaState",
-    "PpaSystem",
-    "Quadratic",
-    "RECURSION",
-    "REDUCED",
-    "REDUCED_DIRECT",
-    "REDUCED_FALLBACK",
-    "ResolventClassification",
-    "ScaledIdentity",
-    "SingularMatrix",
-    "SingularSystem",
-    "TrajectoryRecord",
-    "UnsupportedComposition",
-    "UnsupportedSampling",
-    "Zero",
-    "ZeroCoupling",
-    "catalog_by_name",
-    "classify_resolvent",
-    "compare_formulations",
-    "coupling_gram",
-    "cycle_sum",
-    "drs_map_matrix",
-    "drs_step",
-    "elimination_pair",
-    "formulation_trajectories",
-    "graph_member",
-    "graph_residual",
-    "initial_state",
-    "inverse_preserves_cyclic",
-    "lifted_blocks",
-    "linear_matrix",
-    "moreau_complement_form",
-    "moreau_residual",
-    "operator_from_dict",
-    "operator_to_dict",
-    "ppa_inclusion_residual",
-    "ppa_step",
-    "reduce_state",
-    "reduced_resolvent_direct",
-    "reduced_resolvent_fukushima",
-    "reduced_resolvent_via_drs",
-    "relaxed_step",
-    "resolve",
-    "run",
-    "sample_cycles",
-    "skew_three_cycle",
-    "solution_certificate",
-    "splitting_pass",
-    "standard_catalog",
-]

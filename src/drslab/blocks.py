@@ -32,7 +32,15 @@ import numpy as np
 
 from .drs import splitting_pass
 from .errors import DimensionMismatch, NonInvertibleBlock, SingularSystem
-from .operators import Document, MonotoneOperator, _check_tau, linear_matrix
+from .operators import (
+    Document,
+    MonotoneOperator,
+    _check_tau,
+    _frozen_array,
+    _linalg,
+    _rows,
+    linear_matrix,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,25 +99,20 @@ class EliminationPair:
     R2: np.ndarray
 
     def __post_init__(self):
-        R1 = np.array(self.R1, dtype=float)
-        R2 = np.array(self.R2, dtype=float)
+        R1 = _frozen_array(self.R1, 2, "R1")
+        R2 = _frozen_array(self.R2, 2, "R2")
         if R2.shape[0] != R2.shape[1]:
             raise DimensionMismatch(f"R2 must be square, got {R2.shape}")
         n = R2.shape[0]
         if R1.shape != (2 * n, n):
             raise DimensionMismatch(f"R1 must be (2n, n) = {(2 * n, n)}, got {R1.shape}")
-        R1.flags.writeable = False
-        R2.flags.writeable = False
         object.__setattr__(self, "R1", R1)
         object.__setattr__(self, "R2", R2)
 
 
 def _check_vec(sys, v):
-    V = np.atleast_1d(np.asarray(v, dtype=float))
-    single = V.ndim == 1
-    if single:
-        V = V[None, :]
-    if V.ndim != 2 or V.shape[1] != sys.n:
+    V, single = _rows(v)
+    if V.shape[1] != sys.n:
         raise DimensionMismatch(f"expected points of dimension {sys.n}, got shape {np.shape(v)}")
     return V, single
 
@@ -124,14 +127,9 @@ def lifted_blocks(sys):
     n = sys.n
     MA = linear_matrix(sys.A, n)
     MB = linear_matrix(sys.B, n)
-    try:
-        inv_a = np.linalg.inv(MA)
-    except np.linalg.LinAlgError as exc:
-        raise NonInvertibleBlock("block A is singular; it has no dense inverse") from exc
-    try:
-        inv_b = np.linalg.inv(MB)
-    except np.linalg.LinAlgError as exc:
-        raise NonInvertibleBlock("block B is singular; it has no dense inverse") from exc
+    singular = "block {} is singular; it has no dense inverse"
+    inv_a = _linalg(np.linalg.inv, NonInvertibleBlock, singular.format("A"), MA)
+    inv_b = _linalg(np.linalg.inv, NonInvertibleBlock, singular.format("B"), MB)
     eye = np.eye(n)
     L = np.block([[inv_b, -sys.tau * eye], [sys.tau * eye, inv_a]])
     K = sys.root_tau * np.hstack([eye, eye])
@@ -140,10 +138,7 @@ def lifted_blocks(sys):
 
 def _gram(L, K):
     """K L^{-1} K^T for an assembled (L, K) pair."""
-    try:
-        return K @ np.linalg.solve(L, K.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("lifted block matrix L is singular") from exc
+    return K @ _linalg(np.linalg.solve, SingularSystem, "lifted block matrix L is singular", L, K.T)
 
 
 def coupling_gram(sys):
@@ -172,11 +167,8 @@ def reduced_resolvent_direct(sys, v):
     invertible linear maps; raises NonInvertibleBlock otherwise.
     """
     V, single = _check_vec(sys, v)
-    W = coupling_gram(sys)
-    try:
-        out = np.linalg.solve(np.eye(sys.n) + W, V.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("I + K L^{-1} K^T is singular") from exc
+    G = np.eye(sys.n) + coupling_gram(sys)
+    out = _linalg(np.linalg.solve, SingularSystem, "I + K L^{-1} K^T is singular", G, V.T).T
     return out[0] if single else out
 
 
@@ -190,10 +182,7 @@ def reduced_resolvent_fukushima(sys, v):
     V, single = _check_vec(sys, v)
     L, K = lifted_blocks(sys)
     G = L + K.T @ K
-    try:
-        Y = np.linalg.solve(G, K.T @ V.T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("L + K^T K is singular") from exc
+    Y = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", G, K.T @ V.T)
     out = V - (K @ Y).T
     return out[0] if single else out
 
@@ -205,18 +194,14 @@ def moreau_complement_form(sys, v):
     on linear systems the complement independently satisfies the
     inclusion v - r in (K L^{-1} K^T)^{-1} (r) checked via dense algebra.
     """
-    V, single = _check_vec(sys, v)
-    out = V - reduced_resolvent_via_drs(sys, V)
-    return out[0] if single else out
+    return np.asarray(v, dtype=float) - reduced_resolvent_via_drs(sys, v)
 
 
 def elimination_pair(sys):
     """Solve for the (R1, R2) elimination pair of an invertible system."""
     L, K = lifted_blocks(sys)
     W = _gram(L, K)
-    try:
-        R2 = np.linalg.solve(W, np.eye(sys.n) / sys.root_tau)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("K L^{-1} K^T is singular; no elimination pair exists") from exc
+    message = "K L^{-1} K^T is singular; no elimination pair exists"
+    R2 = _linalg(np.linalg.solve, SingularSystem, message, W, np.eye(sys.n) / sys.root_tau)
     R1 = np.linalg.solve(L, K.T @ R2)
     return EliminationPair(R1, R2)

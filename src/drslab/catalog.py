@@ -41,8 +41,7 @@ def rotation_matrix():
 
 def random_monotone_matrix(rng, n, monotone_floor=0.2, skew_scale=1.0):
     """A random monotone matrix: PD symmetric part plus a skew part."""
-    G = rng.standard_normal((n, n))
-    sym = G @ G.T / n + monotone_floor * np.eye(n)
+    sym = random_spd_matrix(rng, n, monotone_floor)
     H = rng.standard_normal((n, n))
     skew = 0.5 * skew_scale * (H - H.T)
     return sym + skew

@@ -82,6 +82,21 @@ def _number(cast, flag_value, doc, key, default):
         raise CliError(f"{key!r} must be a number, got {json.dumps(value)}") from None
 
 
+def _not_numbers(value):
+    """True for a null or an object, or a list holding one; numpy reads a null as NaN."""
+    if isinstance(value, list):
+        return any(map(_not_numbers, value))
+    return value is None or isinstance(value, dict)
+
+
+def _vector(doc, key):
+    """The numbers under the file's key as a float array of at least one dimension."""
+    value = doc[key]
+    if _not_numbers(value):
+        raise CliError(f"{key!r} must hold numbers, got {json.dumps(value)}")
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
 def _build_problem(args, doc):
     return DrsProblem(
         _operator(doc, "A"),
@@ -94,11 +109,9 @@ def _build_problem(args, doc):
     )
 
 
-def _problem_dim(problem, doc, z0=None):
-    if z0 is not None:
-        return len(z0)
+def _problem_dim(problem, doc):
     if "z0" in doc:
-        return len(np.atleast_1d(np.asarray(doc["z0"], dtype=float)))
+        return len(_vector(doc, "z0"))
     if problem.dim is not None:
         return problem.dim
     if "dim" in doc:
@@ -107,13 +120,12 @@ def _problem_dim(problem, doc, z0=None):
 
 
 def _start_point(problem, doc):
-    n = _problem_dim(problem, doc)
-    if "z0" in doc:
-        z0 = np.atleast_1d(np.asarray(doc["z0"], dtype=float))
-        if z0.shape != (n,):
-            raise CliError(f"z0 must be a vector of length {n}")
-        return z0
-    return np.zeros(n)
+    if "z0" not in doc:
+        return np.zeros(_problem_dim(problem, doc))
+    z0 = _vector(doc, "z0")
+    if z0.ndim != 1:
+        raise CliError(f"z0 must be a vector of length {len(z0)}")
+    return z0
 
 
 def _emit(args, text):
@@ -164,10 +176,9 @@ def cmd_check_equivalence(args):
     problem = _build_problem(args, doc)
     iters = int(args.iters) if args.iters is not None else 100
     if "z0" in doc:
-        z0 = np.atleast_1d(np.asarray(doc["z0"], dtype=float))
+        z0 = _vector(doc, "z0")
     else:
-        n = _problem_dim(problem, doc)
-        z0 = np.random.default_rng(problem.seed).standard_normal(n)
+        z0 = np.random.default_rng(problem.seed).standard_normal(_problem_dim(problem, doc))
     report = compare_formulations(problem, z0, iters)
     _emit_json(args, report.to_dict())
     ok = report.max_deviation <= EQUIVALENCE_TOL
@@ -182,7 +193,7 @@ def cmd_check_cycle(args):
     doc = _load_document(args.problem)
     key = "op" if "op" in doc else "A"
     op = _operator(doc, key)
-    dim = doc.get("dim")
+    dim = None if doc.get("dim") is None else _number(int, None, doc, "dim", None)
     seed = _number(int, args.seed, doc, "seed", 0)
     witness = sample_cycles(op, args.n_max, args.trials, seed, dim=dim)
     payload = {
@@ -203,23 +214,20 @@ def cmd_witness_skew(args):
     doc = _load_document(args.problem)
     if "C" not in doc:
         raise CliError("witness-skew needs a 'C' matrix in the problem file")
-    C = np.asarray(doc["C"], dtype=float)
+    C = _vector(doc, "C")
     if C.ndim != 2:
         raise CliError("'C' must be a matrix")
     n2, n1 = C.shape
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(_number(int, args.seed, doc, "seed", 0))
     if "a1" in doc:
-        a1 = np.atleast_1d(np.asarray(doc["a1"], dtype=float))
+        a1 = _vector(doc, "a1")
     else:
         a1 = rng.standard_normal(n1)
         for _ in range(100):
             if np.linalg.norm(C @ a1) > 1e-12:
                 break
             a1 = rng.standard_normal(n1)
-    if "b1" in doc:
-        b1 = np.atleast_1d(np.asarray(doc["b1"], dtype=float))
-    else:
-        b1 = rng.standard_normal(n2)
+    b1 = _vector(doc, "b1") if "b1" in doc else rng.standard_normal(n2)
     witness = skew_three_cycle(C, a1, b1)
     _emit_json(args, witness.to_dict())
     _say(f"xi = {witness.xi:.12g}, cycle sum = {witness.cycle_sum:.12g}")
@@ -247,17 +255,16 @@ def cmd_moreau_check(args):
         named = [(key, _operator(doc, key)) for key in ("A", "B") if key in doc]
     if not named:
         raise CliError("moreau-check needs an 'op' or 'A'/'B' operator")
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     tau = _number(float, args.tau, doc, "tau", 1.0)
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(_number(int, args.seed, doc, "seed", 0))
     per_op = {}
-    worst = 0.0
     for key, op in named:
         d = op.dim if op.dim is not None else _number(int, None, doc, "dim", 1)
-        residuals = [
-            moreau_residual(op, tau, rng.standard_normal(d)) for _ in range(args.trials)
-        ]
+        residuals = [moreau_residual(op, tau, rng.standard_normal(d)) for _ in range(args.trials)]
         per_op[key] = max(residuals)
-        worst = max(worst, per_op[key])
+    worst = max(per_op.values())
     payload = {
         "max_residual": worst,
         "per_operator": per_op,

@@ -32,7 +32,15 @@ from .errors import (
     UnsupportedSampling,
     ZeroCoupling,
 )
-from .operators import Block2x2, Document, resolve
+from .operators import (
+    Block2x2,
+    Document,
+    _check_square,
+    _frozen_array,
+    _linalg,
+    resolve,
+    symmetric_part,
+)
 
 #: A cycle sum above this is treated as a genuine violation.
 TOL_VIOLATION = 1e-8
@@ -59,17 +67,7 @@ class CycleWitness(Document):
     xi: float | None = None
 
     def __post_init__(self):
-        pts = tuple(np.array(p, dtype=float, ndmin=1) for p in self.points)
-        vals = tuple(np.array(v, dtype=float, ndmin=1) for v in self.values)
-        if len(pts) != len(vals):
-            raise LengthMismatch(f"{len(pts)} points but {len(vals)} values")
-        if len(pts) < 2:
-            raise LengthMismatch("a cycle needs at least two points")
-        d = pts[0].shape
-        for arr in pts + vals:
-            if arr.shape != d:
-                raise DimensionMismatch("all points and values must share one dimension")
-            arr.flags.writeable = False
+        pts, vals = _cycle_arrays(self.points, self.values)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "cycle_sum", float(self.cycle_sum))
@@ -106,27 +104,34 @@ class ResolventClassification(Document):
     verdict: str
 
     def __post_init__(self):
-        M = np.array(self.recovered_M, dtype=float)
-        M.flags.writeable = False
+        M = _frozen_array(self.recovered_M, 2, "recovered_M")
         object.__setattr__(self, "recovered_M", M)
         object.__setattr__(self, "symmetry_defect", float(self.symmetry_defect))
 
 
-def cycle_sum(points, values):
-    """The wraparound sum  sum_i <x_{i+1} - x_i, u_i>."""
-    pts = [np.atleast_1d(np.asarray(p, dtype=float)) for p in points]
-    vals = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+def _cycle_arrays(points, values):
+    """A cycle tuple as two tuples of read-only float copies, checked: as many
+    values as points, at least two points, and one shape for all of them."""
+    pts = tuple(np.array(p, dtype=float, ndmin=1) for p in points)
+    vals = tuple(np.array(v, dtype=float, ndmin=1) for v in values)
     if len(pts) != len(vals):
         raise LengthMismatch(f"{len(pts)} points but {len(vals)} values")
     if len(pts) < 2:
         raise LengthMismatch("a cycle needs at least two points")
+    for arr in pts + vals:
+        if arr.shape != pts[0].shape:
+            raise DimensionMismatch("all points and values must share one dimension")
+        arr.flags.writeable = False
+    return pts, vals
+
+
+def cycle_sum(points, values):
+    """The wraparound sum  sum_i <x_{i+1} - x_i, u_i>."""
+    pts, vals = _cycle_arrays(points, values)
     total = 0.0
     m = len(pts)
     for i in range(m):
-        step = pts[(i + 1) % m] - pts[i]
-        if step.shape != vals[i].shape:
-            raise DimensionMismatch("points and values must share one dimension")
-        total += float(step @ vals[i])
+        total += float((pts[(i + 1) % m] - pts[i]) @ vals[i])
     return total
 
 
@@ -264,23 +269,16 @@ def classify_resolvent(T):
     One-dimensional inputs are always symmetric, hence "Proximal".
     """
     T = np.asarray(T, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise DimensionMismatch(f"T must be square, got shape {T.shape}")
-    try:
-        T_inv = np.linalg.inv(T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("resolvent matrix is singular") from exc
+    _check_square(T, "T")
+    T_inv = _linalg(np.linalg.inv, SingularMatrix, "resolvent matrix is singular", T)
     M = T_inv - np.eye(T.shape[0])
-    sym = 0.5 * (M + M.T)
-    lam = np.linalg.eigvalsh(sym)
+    lam = np.linalg.eigvalsh(symmetric_part(M))
     scale = max(1.0, float(np.max(np.abs(lam))))
     if float(lam[0]) < -1e-8 * scale:
         raise NonMonotone(
             f"recovered generator is not monotone: min symmetric eigenvalue {lam[0]:.3e}"
         )
-    defect = float(
-        np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M)))
-    )
+    defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
     if defect <= 1e-8:
         verdict = PROXIMAL
     elif defect > 1e-6:
@@ -298,17 +296,16 @@ def inverse_preserves_cyclic(M):
     same test at 1e-8.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"M must be square, got shape {M.shape}")
+    _check_square(M, "M")
     defect = float(np.linalg.norm(M - M.T))
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(M))):
         raise NotSymmetricPD(f"M is not symmetric: defect {defect:.3e}")
-    lam = np.linalg.eigvalsh(0.5 * (M + M.T))
+    lam = np.linalg.eigvalsh(symmetric_part(M))
     if float(lam[0]) <= 0.0:
         raise NotSymmetricPD(f"M is not positive definite: min eigenvalue {lam[0]:.3e}")
     M_inv = np.linalg.inv(M)
     inv_defect = float(np.linalg.norm(M_inv - M_inv.T))
     if inv_defect > 1e-8 * max(1.0, float(np.linalg.norm(M_inv))):
         return False
-    inv_lam = np.linalg.eigvalsh(0.5 * (M_inv + M_inv.T))
+    inv_lam = np.linalg.eigvalsh(symmetric_part(M_inv))
     return float(inv_lam[0]) > 0.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,15 @@ class EquivalenceReport(Document):
     pairwise: dict
 
 
+def _trajectory(step, z0, iters):
+    """The iters+1 rows z0, step(z0), step(step(z0)), ..., each step on a (1, n) row."""
+    zs = np.empty((iters + 1, z0.shape[0]))
+    zs[0] = z0
+    for k in range(iters):
+        zs[k + 1] = step(zs[k : k + 1])[0]
+    return zs
+
+
 def formulation_trajectories(problem, z0, iters):
     """z-trajectories (iters+1 rows each) of the three formulations.
 
@@ -49,49 +59,27 @@ def formulation_trajectories(problem, z0, iters):
     formulation name to an array of shape (iters+1, n) starting at z0.
     """
     z0 = _start_vector(problem, z0)
-    n = z0.shape[0]
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    system = BlockSystem(problem.A, problem.B, problem.tau, n)
-    tau = problem.tau
+    system = BlockSystem(problem.A, problem.B, problem.tau, z0.shape[0])
+    A, B, tau = problem.A, problem.B, problem.tau
 
     # classical recursion (unrelaxed), on the drs row kernel
-    zs = np.empty((iters + 1, n))
-    zs[0] = z0
-    for k in range(iters):
-        z_next, _, _ = _splitting_rows(problem.A, problem.B, tau, zs[k : k + 1])
-        zs[k + 1] = z_next[0]
+    zs = _trajectory(lambda Z: _splitting_rows(A, B, tau, Z)[0], z0, iters)
 
     # lifted 4-variable form, z component, on the ppa row kernel
-    inv_a, inv_b = Inverse(problem.A), Inverse(problem.B)
-    zl = np.empty((iters + 1, n))
-    zl[0] = z0
-    for k in range(iters):
-        _, _, z_next = _lifted_rows(inv_a, inv_b, tau, zl[k : k + 1])
-        zl[k + 1] = z_next[0]
+    inv_a, inv_b = Inverse(A), Inverse(B)
+    zl = _trajectory(lambda Z: _lifted_rows(inv_a, inv_b, tau, Z)[2], z0, iters)
 
-    # reduced form in v coordinates
-    rt = system.root_tau
-    zr = np.empty((iters + 1, n))
-    zr[0] = z0
-    v = z0 / rt
+    # reduced form, iterated in v coordinates and scaled back to z
     try:
-        W = coupling_gram(system)
-        step_matrix = np.eye(n) + W
-        reduced_path = REDUCED_DIRECT
-
-        def reduced_step(v):
-            return np.linalg.solve(step_matrix, v)
-
-    except (DrslabError, np.linalg.LinAlgError):
-        reduced_path = REDUCED_FALLBACK
-
-        def reduced_step(v):
-            return reduced_resolvent_via_drs(system, v)
-
-    for k in range(iters):
-        v = reduced_step(v)
-        zr[k + 1] = rt * v
+        step_matrix = np.eye(system.n) + coupling_gram(system)
+        reduced_path, reduced_step = REDUCED_DIRECT, lambda V: np.linalg.solve(step_matrix, V.T).T
+    except DrslabError:
+        reduced_path, reduced_step = REDUCED_FALLBACK, partial(reduced_resolvent_via_drs, system)
+    rt = system.root_tau
+    zr = rt * _trajectory(reduced_step, z0 / rt, iters)
+    zr[0] = z0
 
     return {RECURSION: zs, LIFTED: zl, REDUCED: zr}, reduced_path
 

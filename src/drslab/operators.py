@@ -65,7 +65,7 @@ def _frozen_array(values, ndim, name):
 
 
 def _check_square(M, name):
-    if M.shape[0] != M.shape[1]:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
 
 
@@ -78,21 +78,31 @@ def _check_monotone(M, name):
         )
 
 
+def _linalg(fn, error, message, *args):
+    """fn(*args) for an ``np.linalg`` function; a LinAlgError becomes error(message).
+
+    The package's one policy for a singular matrix: each caller names the
+    error type and text its own callers see.
+    """
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise error(message) from exc
+
+
 def _resolvent_matrix(op, tau, generator, singular_message):
     """The read-only matrix (I + tau*S)^{-1}, with S = generator().
 
     The matrix is kept on ``op`` in one slot keyed by tau, so it is
     computed once per operator and step size; a new tau replaces it.
-    ``singular_message`` is formatted with ``tau`` only on failure.
+    ``singular_message`` may hold a ``{tau}`` field.
     """
     slot = getattr(op, "_resolvent", None)
     if slot is not None and slot[0] == tau:
         return slot[1]
     S = generator()
-    try:
-        R = np.linalg.inv(np.eye(S.shape[0]) + tau * S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(singular_message.format(tau=tau)) from exc
+    message = singular_message.format(tau=tau)
+    R = _linalg(np.linalg.inv, SingularSystem, message, np.eye(S.shape[0]) + tau * S)
     R.flags.writeable = False
     object.__setattr__(op, "_resolvent", (tau, R))
     return R
@@ -339,10 +349,7 @@ class AffineConstraint(MonotoneOperator):
                 f"e has length {e.shape[0]} but E has {E.shape[0]} rows"
             )
         gram = E @ E.T
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("E must have full row rank") from exc
+        _linalg(np.linalg.cholesky, ValueError, "E must have full row rank", gram)
         projector = np.eye(E.shape[1]) - E.T @ np.linalg.solve(gram, E)
         offset = E.T @ np.linalg.solve(gram, e)
         projector.flags.writeable = False
@@ -493,10 +500,9 @@ def linear_matrix(op, n):
         return np.array(op.Q)
     if isinstance(op, Inverse):
         inner = linear_matrix(op.inner, n)
-        try:
-            return np.linalg.inv(inner)
-        except np.linalg.LinAlgError as exc:
-            raise NotLinear("inverse of a singular matrix is a relation, not a map") from exc
+        return _linalg(
+            np.linalg.inv, NotLinear, "inverse of a singular matrix is a relation, not a map", inner
+        )
     if isinstance(op, Block2x2):
         MA = linear_matrix(op.A, op.n1)
         MB = linear_matrix(op.B, op.n2)
@@ -601,8 +607,3 @@ def operator_from_dict(data):
         return cls.from_dict(data)
     except KeyError as exc:
         raise ValueError(f"operator {tag!r} is missing field {exc}") from None
-
-
-def operator_to_dict(op):
-    """Tagged-dict form of an operator, JSON-ready."""
-    return op.to_dict()

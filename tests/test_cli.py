@@ -172,6 +172,78 @@ def test_unparsable_setting_keeps_its_message(tmp_path, capsys):
     assert captured.err == "error: could not convert string to float: 'abc'\n"
 
 
+ZERO_PAIR = {"A": {"type": "zero"}, "B": {"type": "zero"}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        ("run-drs", dict(L1_QUAD, z0=None), "'z0' must hold numbers, got null"),
+        ("run-drs", dict(ZERO_PAIR, z0=[1.0, None]), "'z0' must hold numbers, got [1.0, null]"),
+        ("check-equivalence", dict(L1_QUAD, z0=None), "'z0' must hold numbers, got null"),
+        ("classify-resolvent", dict(SKEW, z0=[None, 1.0]), "'z0' must hold numbers, got [null, 1.0]"),
+        ("witness-skew", {"C": None}, "'C' must hold numbers, got null"),
+        ("witness-skew", {"C": [[1.0, None]]}, "'C' must hold numbers, got [[1.0, null]]"),
+        ("witness-skew", {"C": [[1.0]], "a1": None}, "'a1' must hold numbers, got null"),
+        ("witness-skew", {"C": [[1.0]], "b1": [None]}, "'b1' must hold numbers, got [null]"),
+        ("witness-skew", {"C": [[1.0]], "a1": {"x": 1}}, "'a1' must hold numbers, got {\"x\": 1}"),
+    ],
+)
+def test_null_vector_exits_one_naming_the_key(tmp_path, capsys, command, doc, err):
+    code = main([command, "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "dim, err",
+    [
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ([2], "'dim' must be a number, got [2]"),
+        ({"n": 2}, "'dim' must be a number, got {\"n\": 2}"),
+    ],
+)
+def test_check_cycle_malformed_dim_exits_one(tmp_path, capsys, dim, err):
+    doc = {"op": {"type": "zero"}, "dim": dim}
+    code = main(["check-cycle", "--problem", write_doc(tmp_path, doc), "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {err}\n"
+    # a null dim still means "no dim"
+    doc["dim"] = None
+    assert main(["check-cycle", "--problem", write_doc(tmp_path, doc), "--trials", "5"]) == EXIT_OK
+
+
+def test_moreau_check_rejects_zero_trials(tmp_path, capsys):
+    path = write_doc(tmp_path, {"op": {"type": "zero"}, "dim": 1})
+    code = main(["moreau-check", "--problem", path, "--trials", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == "error: --trials must be at least 1, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("witness-skew", {"C": [[1.0, 2.0], [0.5, -1.0]]}),
+        ("moreau-check", {"op": {"type": "linear", "M": [[1.0, -3.0], [3.0, 0.25]]}}),
+    ],
+)
+def test_document_seed_is_read_and_the_flag_overrides_it(tmp_path, capsys, command, doc):
+    def run(doc, *flags):
+        code = main([command, "--problem", write_doc(tmp_path, doc), *flags])
+        return code, capsys.readouterr().out
+
+    seeded = run(dict(doc, seed=5))
+    assert seeded[0] == EXIT_OK
+    assert seeded == run(doc, "--seed", "5")
+    assert run(dict(doc, seed=5), "--seed", "7") == run(doc, "--seed", "7")
+    assert run(dict(doc, seed=-1))[0] == EXIT_ERROR  # the document's seed reaches the generator
+
+
 # ---------------------------------------------------------------------------
 # check-equivalence
 

@@ -386,10 +386,10 @@ def test_linear_matrix_rejects_prox_variants():
 
 def test_operator_json_round_trip():
     for name, op, dim in operator_zoo():
-        spec = dl.operator_to_dict(op)
+        spec = op.to_dict()
         # must survive an actual JSON encode
         clone = dl.operator_from_dict(json.loads(json.dumps(spec)))
-        assert dl.operator_to_dict(clone) == spec, name
+        assert clone.to_dict() == spec, name
         x = np.linspace(-1.0, 1.0, dim)
         assert np.array_equal(dl.resolve(op, 0.8, x), dl.resolve(clone, 0.8, x))
 
