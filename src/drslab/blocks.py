@@ -38,7 +38,7 @@ from .operators import (
     _check_tau,
     _frozen_array,
     _linalg,
-    _rows,
+    _points,
     linear_matrix,
 )
 
@@ -111,10 +111,10 @@ class EliminationPair:
 
 
 def _check_vec(sys, v):
-    V, single = _rows(v)
-    if V.shape[1] != sys.n:
+    V = _points(v)
+    if V.shape[-1] != sys.n:
         raise DimensionMismatch(f"expected points of dimension {sys.n}, got shape {np.shape(v)}")
-    return V, single
+    return V
 
 
 def lifted_blocks(sys):
@@ -153,11 +153,9 @@ def reduced_resolvent_via_drs(sys, v):
     rescales back.  This is the general-purpose path: it only needs the
     resolvents of A and B.
     """
-    V, single = _check_vec(sys, v)
-    Z = sys.root_tau * V
+    Z = sys.root_tau * _check_vec(sys, v)
     Z_next, _, _ = splitting_pass(sys.A, sys.B, sys.tau, Z)
-    out = Z_next / sys.root_tau
-    return out[0] if single else out
+    return Z_next / sys.root_tau
 
 
 def reduced_resolvent_direct(sys, v):
@@ -166,10 +164,9 @@ def reduced_resolvent_direct(sys, v):
     Solves (I + K L^{-1} K^T) v+ = v.  Requires both blocks to be
     invertible linear maps; raises NonInvertibleBlock otherwise.
     """
-    V, single = _check_vec(sys, v)
+    V = _check_vec(sys, v)
     G = np.eye(sys.n) + coupling_gram(sys)
-    out = _linalg(np.linalg.solve, SingularSystem, "I + K L^{-1} K^T is singular", G, V.T).T
-    return out[0] if single else out
+    return _linalg(np.linalg.solve, SingularSystem, "I + K L^{-1} K^T is singular", G, V.T).T
 
 
 def reduced_resolvent_fukushima(sys, v):
@@ -179,12 +176,11 @@ def reduced_resolvent_fukushima(sys, v):
     by the Woodbury identity.  Same invertibility requirements as the
     direct path.
     """
-    V, single = _check_vec(sys, v)
+    V = _check_vec(sys, v)
     L, K = lifted_blocks(sys)
     G = L + K.T @ K
     Y = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", G, K.T @ V.T)
-    out = V - (K @ Y).T
-    return out[0] if single else out
+    return V - (K @ Y).T
 
 
 def moreau_complement_form(sys, v):

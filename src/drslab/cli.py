@@ -74,8 +74,11 @@ def _operator(doc, key):
 
 
 def _number(cast, flag_value, doc, key, default):
-    """The flag, else the file's key, else the default, through cast."""
+    """The flag, else the file's key, else the default, through cast; an int
+    cast takes only integral numbers, never a truncated fraction."""
     value = flag_value if flag_value is not None else doc.get(key, default)
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise CliError(f"{key!r} must be an integer, got {json.dumps(value)}")
     try:
         return cast(value)
     except TypeError:  # null, a list or an object; a bad string raises ValueError

@@ -57,8 +57,10 @@ INCONCLUSIVE = "Inconclusive"
 class CycleWitness(Document):
     """A tuple of graph points with its cycle sum.
 
-    ``xi`` carries the closed-form value when the witness comes from the
-    skew construction; it must agree with the recomputed cycle sum.
+    The stored ``cycle_sum`` must agree with the sum recomputed from the
+    points and values, so a witness read from a document certifies only
+    what its points show.  ``xi`` carries the closed-form value when the
+    witness comes from the skew construction; it must agree too.
     """
 
     points: tuple
@@ -71,6 +73,12 @@ class CycleWitness(Document):
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "cycle_sum", float(self.cycle_sum))
+        total = cycle_sum(pts, vals)
+        slack = TOL_XI * max(1.0, abs(total))
+        if not np.isclose(self.cycle_sum, total, rtol=0.0, atol=slack, equal_nan=True):
+            raise ValueError(
+                f"cycle_sum {self.cycle_sum!r} disagrees with the sum {total!r} of its points"
+            )
         if self.xi is not None:
             object.__setattr__(self, "xi", float(self.xi))
             if abs(self.xi - self.cycle_sum) > TOL_XI * max(1.0, abs(self.xi)):
@@ -111,13 +119,15 @@ class ResolventClassification(Document):
 
 def _cycle_arrays(points, values):
     """A cycle tuple as two tuples of read-only float copies, checked: as many
-    values as points, at least two points, and one shape for all of them."""
+    values as points, at least two points, and one vector shape for all of them."""
     pts = tuple(np.array(p, dtype=float, ndmin=1) for p in points)
     vals = tuple(np.array(v, dtype=float, ndmin=1) for v in values)
     if len(pts) != len(vals):
         raise LengthMismatch(f"{len(pts)} points but {len(vals)} values")
     if len(pts) < 2:
         raise LengthMismatch("a cycle needs at least two points")
+    if pts[0].ndim != 1:
+        raise DimensionMismatch(f"points and values must be vectors, got shape {pts[0].shape}")
     for arr in pts + vals:
         if arr.shape != pts[0].shape:
             raise DimensionMismatch("all points and values must share one dimension")

@@ -10,12 +10,11 @@ and the relaxed variant blends z+ with z:  (1-gamma)*z + gamma*z+.
 For gamma in (0, 2) the relaxed map is gamma/2-averaged; gamma = 2 is
 accepted but only nonexpansive, so the driver warns about it.
 
-Cost model.  ``splitting_pass`` checks its inputs the way ``resolve`` does
-and then calls the unchecked row kernel ``_splitting_rows``.  ``run``
-checks z0 once, before its loop, and iterates that kernel on a (1, n) row,
-so an iteration is two resolvent kernel calls (``op._resolve``) plus a few
-array operations: the reflection, the update, the relaxed blend and the
-residual.
+Cost model.  ``splitting_pass`` checks its inputs like ``resolve``, then
+calls the unchecked kernel ``_splitting_rows`` on the point or row stack.
+``run`` checks z0 once and iterates that kernel on the 1-D point: two
+resolvent kernel calls (``op._resolve``) plus a few n-vector operations per
+step (the reflection, the update, the relaxed blend and the residual).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .operators import (
     Document,
     MonotoneOperator,
     _check_tau,
-    _checked_rows,
+    _checked_points,
     graph_member,
     resolve,
 )
@@ -46,7 +45,7 @@ DEFAULT_MAX_ITERS = 100_000
 
 
 def _splitting_rows(A, B, tau, Z):
-    """The splitting update on a row stack Z, without input checks."""
+    """The splitting update on a point or a row stack Z, without input checks."""
     X = B._resolve(tau, Z)
     W = A._resolve(tau, 2.0 * X - Z)
     return Z - X + W, X, W
@@ -57,9 +56,8 @@ def splitting_pass(A, B, tau, z):
 
     Accepts a single point or a row stack, like ``resolve``.
     """
-    tau, Z, single = _checked_rows(tau, z, B, A)
-    out = _splitting_rows(A, B, tau, Z)
-    return tuple(P[0] for P in out) if single else out
+    tau, Z = _checked_points(tau, z, B, A)
+    return _splitting_rows(A, B, tau, Z)
 
 
 def _start_vector(problem, z0):
@@ -201,14 +199,14 @@ def run(problem, z0):
     step as the last row), or after max_iters steps (status "max_iters").
     The residual is not monotone in general and is recorded as observed.
     """
-    z = _start_vector(problem, z0)[None, :]
+    z = _start_vector(problem, z0)
     A, B, tau, gamma = problem.A, problem.B, problem.tau, problem.gamma
     zs, xs, ws, rs = [], [], [], []
     status = MAX_ITERS
     for _ in range(problem.max_iters):
         z_tilde, x, w = _splitting_rows(A, B, tau, z)
         z_next = _relaxed(gamma, z, z_tilde)
-        d = (z_next - z).ravel()
+        d = z_next - z
         res = math.sqrt(d.dot(d))  # exactly np.linalg.norm of a real vector
         zs.append(z_next)
         xs.append(x)
@@ -224,9 +222,9 @@ def run(problem, z0):
     # one array per field, so that keeping one field keeps no other alive
     return TrajectoryRecord(
         k=np.arange(1, len(rs) + 1),
-        z=np.concatenate(zs),
-        x=np.concatenate(xs),
-        w=np.concatenate(ws),
+        z=np.array(zs),
+        x=np.array(xs),
+        w=np.array(ws),
         residual=np.array(rs, dtype=float),
         status=status,
     )

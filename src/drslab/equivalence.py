@@ -44,11 +44,11 @@ class EquivalenceReport(Document):
 
 
 def _trajectory(step, z0, iters):
-    """The iters+1 rows z0, step(z0), step(step(z0)), ..., each step on a (1, n) row."""
+    """The iters+1 rows z0, step(z0), step(step(z0)), ..., each step on a 1-D point."""
     zs = np.empty((iters + 1, z0.shape[0]))
     zs[0] = z0
     for k in range(iters):
-        zs[k + 1] = step(zs[k : k + 1])[0]
+        zs[k + 1] = step(zs[k])
     return zs
 
 
@@ -64,17 +64,17 @@ def formulation_trajectories(problem, z0, iters):
     system = BlockSystem(problem.A, problem.B, problem.tau, z0.shape[0])
     A, B, tau = problem.A, problem.B, problem.tau
 
-    # classical recursion (unrelaxed), on the drs row kernel
+    # classical recursion (unrelaxed), on the drs kernel
     zs = _trajectory(lambda Z: _splitting_rows(A, B, tau, Z)[0], z0, iters)
 
-    # lifted 4-variable form, z component, on the ppa row kernel
+    # lifted 4-variable form, z component, on the ppa kernel
     inv_a, inv_b = Inverse(A), Inverse(B)
     zl = _trajectory(lambda Z: _lifted_rows(inv_a, inv_b, tau, Z)[2], z0, iters)
 
     # reduced form, iterated in v coordinates and scaled back to z
     try:
         step_matrix = np.eye(system.n) + coupling_gram(system)
-        reduced_path, reduced_step = REDUCED_DIRECT, lambda V: np.linalg.solve(step_matrix, V.T).T
+        reduced_path, reduced_step = REDUCED_DIRECT, partial(np.linalg.solve, step_matrix)
     except DrslabError:
         reduced_path, reduced_step = REDUCED_FALLBACK, partial(reduced_resolvent_via_drs, system)
     rt = system.root_tau

@@ -18,9 +18,9 @@ replaces the kept matrix.  ``Inverse`` resolves its inner operator at
 projector once, at construction.
 
 Operators are immutable values; the kept matrix is a cache that never
-changes a result.  ``resolve`` accepts a single point
-(shape ``(n,)``) or a stack of points (shape ``(m, n)``, one point per
-row) and preserves the input layout.
+changes a result.  Every kernel (``_resolve``) and ``resolve`` accept a
+single point (shape ``(n,)``) or a stack of points (shape ``(m, n)``, one
+point per row) and preserve the input layout.
 
 Documents.  The JSON document format of the package lives here, in
 ``Document``: the operators, and the problems, systems, states, witnesses,
@@ -90,17 +90,13 @@ def _linalg(fn, error, message, *args):
         raise error(message) from exc
 
 
-def _resolvent_matrix(op, tau, generator, singular_message):
-    """The read-only matrix (I + tau*S)^{-1}, with S = generator().
+def _resolvent_matrix(op, tau, S, singular_message):
+    """Compute, keep and return the read-only matrix (I + tau*S)^{-1}.
 
-    The matrix is kept on ``op`` in one slot keyed by tau, so it is
-    computed once per operator and step size; a new tau replaces it.
+    It is kept in the one slot ``op._resolvent = (tau, R)``, which a dense
+    ``_resolve`` reads itself and refills here only for a new tau.
     ``singular_message`` may hold a ``{tau}`` field.
     """
-    slot = getattr(op, "_resolvent", None)
-    if slot is not None and slot[0] == tau:
-        return slot[1]
-    S = generator()
     message = singular_message.format(tau=tau)
     R = _linalg(np.linalg.inv, SingularSystem, message, np.eye(S.shape[0]) + tau * S)
     R.flags.writeable = False
@@ -148,10 +144,11 @@ class Document:
 class MonotoneOperator(Document):
     """Base class for the operator variants.
 
-    Subclasses implement ``_resolve`` on row stacks and may override
-    ``_graph_residual`` when a sharper membership test than the generic
-    resolvent characterization is available.  Each variant names its
-    document ``tag``; its document is ``{"type": tag, **fields}``.
+    Subclasses implement ``_resolve`` on a point or a row stack, in the
+    layout of the input, and may override ``_graph_residual`` when a sharper
+    membership test than the generic resolvent characterization is available.
+    Each variant names its document ``tag``; its document is
+    ``{"type": tag, **fields}``.
     """
 
     #: True when the operator is the subdifferential of a convex function.
@@ -168,7 +165,7 @@ class MonotoneOperator(Document):
     def _graph_residual(self, y, u):
         # u in op(y)  iff  y = J(1, y + u); firm nonexpansiveness makes
         # this residual a lower bound on the graph distance.
-        return float(np.linalg.norm(y - self._resolve(1.0, (y + u)[None, :])[0]))
+        return float(np.linalg.norm(y - self._resolve(1.0, y + u)))
 
     def to_dict(self):
         return {"type": self.tag, **super().to_dict()}
@@ -226,9 +223,9 @@ class LinearRelation(MonotoneOperator):
         return self.M.shape[0]
 
     def _resolve(self, tau, X):
-        R = _resolvent_matrix(
-            self, tau, lambda: self.M, "I + tau*M is singular for tau={tau}"
-        )
+        kept_tau, R = getattr(self, "_resolvent", (None, None))
+        if kept_tau != tau:
+            R = _resolvent_matrix(self, tau, self.M, "I + tau*M is singular for tau={tau}")
         return X @ R.T
 
     def _graph_residual(self, y, u):
@@ -269,9 +266,9 @@ class Quadratic(MonotoneOperator):
         return self.Q.shape[0]
 
     def _resolve(self, tau, X):
-        R = _resolvent_matrix(
-            self, tau, lambda: self.Q, "I + tau*Q is singular for tau={tau}"
-        )
+        kept_tau, R = getattr(self, "_resolvent", (None, None))
+        if kept_tau != tau:
+            R = _resolvent_matrix(self, tau, self.Q, "I + tau*Q is singular for tau={tau}")
         return (X - tau * self.q) @ R.T
 
     def _graph_residual(self, y, u):
@@ -322,7 +319,8 @@ class Box(MonotoneOperator):
         return self.lo.shape[0]
 
     def _resolve(self, tau, X):
-        return np.clip(X, self.lo, self.hi)
+        # the bits of np.clip (NaN and signed zeros too), without its Python wrapper
+        return np.minimum(np.maximum(X, self.lo), self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,20 +454,18 @@ class Block2x2(MonotoneOperator):
         if not np.any(self.C):
             # zero coupling: the block system splits exactly
             n1 = self.n1
-            left = self.A._resolve(tau, X[:, :n1])
-            right = self.B._resolve(tau, X[:, n1:])
-            return np.concatenate([left, right], axis=1)
-        try:
-            R = _resolvent_matrix(
-                self,
-                tau,
-                lambda: linear_matrix(self, self.dim),
-                "coupled block system is singular",
-            )
-        except NotLinear as exc:
-            raise UnsupportedComposition(
-                "coupled resolvent needs linear-representable blocks"
-            ) from exc
+            left = self.A._resolve(tau, X[..., :n1])
+            right = self.B._resolve(tau, X[..., n1:])
+            return np.concatenate([left, right], axis=-1)
+        kept_tau, R = getattr(self, "_resolvent", (None, None))
+        if kept_tau != tau:
+            try:
+                S = linear_matrix(self, self.dim)
+            except NotLinear as exc:
+                raise UnsupportedComposition(
+                    "coupled resolvent needs linear-representable blocks"
+                ) from exc
+            R = _resolvent_matrix(self, tau, S, "coupled block system is singular")
         return X @ R.T
 
     def _graph_residual(self, y, u):
@@ -510,13 +506,11 @@ def linear_matrix(op, n):
     raise NotLinear(f"{type(op).__name__} is not linear-representable")
 
 
-def _rows(x):
+def _points(x):
     X = np.atleast_1d(np.asarray(x, dtype=float))
-    if X.ndim == 1:
-        return X[None, :], True
-    if X.ndim == 2:
-        return X, False
-    raise DimensionMismatch(f"points must be 1-D or 2-D, got shape {X.shape}")
+    if X.ndim > 2:
+        raise DimensionMismatch(f"points must be 1-D or 2-D, got shape {X.shape}")
+    return X
 
 
 def _check_point_dim(op, n):
@@ -534,14 +528,14 @@ def _check_tau(tau):
     return tau
 
 
-def _checked_rows(tau, x, *ops):
-    """The checks of ``resolve``: tau as a positive float, x as a row stack
-    (with a flag for a single point), and the row length against each op."""
+def _checked_points(tau, x, *ops):
+    """The checks of ``resolve``: tau as a positive float, x as a point or a
+    row stack, and the point dimension against each op."""
     tau = _check_tau(tau)
-    X, single = _rows(x)
+    X = _points(x)
     for op in ops:
-        _check_point_dim(op, X.shape[1])
-    return tau, X, single
+        _check_point_dim(op, X.shape[-1])
+    return tau, X
 
 
 def resolve(op, tau, x):
@@ -558,9 +552,8 @@ def resolve(op, tau, x):
     -------
     ndarray with the same layout as ``x``.
     """
-    tau, X, single = _checked_rows(tau, x, op)
-    P = op._resolve(tau, X)
-    return P[0] if single else P
+    tau, X = _checked_points(tau, x, op)
+    return op._resolve(tau, X)
 
 
 def graph_residual(op, y, u):

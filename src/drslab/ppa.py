@@ -73,8 +73,8 @@ def _check_state_dim(sys, d):
 
 
 def _lifted_rows(inv_a, inv_b, tau, Z):
-    """The lifted update on a row stack Z of z's, without input checks;
-    returns (u+, s+, z+)."""
+    """The lifted update on a point z or a row stack Z of them, without input
+    checks; returns (u+, s+, z+) in the layout of Z."""
     W = Z / tau
     U = inv_b._resolve(1.0 / tau, W)
     S = inv_a._resolve(1.0 / tau, W - 2.0 * U)
@@ -84,8 +84,7 @@ def _lifted_rows(inv_a, inv_b, tau, Z):
 def ppa_step(sys, state):
     """One lifted update; the result depends on the input through z only."""
     _check_state_dim(sys, state.dim)
-    U, S, Z = _lifted_rows(Inverse(sys.A), Inverse(sys.B), sys.tau, state.z[None, :])
-    return PpaState(U[0], S[0], Z[0])
+    return PpaState(*_lifted_rows(Inverse(sys.A), Inverse(sys.B), sys.tau, state.z))
 
 
 def ppa_inclusion_residual(sys, prev, nxt):

@@ -1,4 +1,7 @@
-"""Shared test fixtures: deterministic operators and sampling utilities."""
+"""Shared test fixtures: deterministic operators, sampling utilities and the
+reference loop of ``run``."""
+
+import math
 
 import numpy as np
 
@@ -54,3 +57,34 @@ def operator_zoo():
 
 def sample_points(rng, count, dim, scale=2.0):
     return scale * rng.standard_normal((count, dim))
+
+
+def row_reference_run(problem, z0):
+    """``run`` written as a loop of the public ``splitting_pass`` on (1, n)
+    rows, with the relaxed blend and ``np.linalg.norm`` for the residual.
+
+    Returns (k, z, x, w, residual, status), one array per record field.
+    """
+    z = np.asarray(z0, dtype=float)[None, :]
+    zs, xs, ws, rs = [], [], [], []
+    status = dl.MAX_ITERS
+    for _ in range(problem.max_iters):
+        z_tilde, x, w = dl.splitting_pass(problem.A, problem.B, problem.tau, z)
+        if problem.gamma == 1.0:
+            z_next = z_tilde
+        else:
+            z_next = (1.0 - problem.gamma) * z + problem.gamma * z_tilde
+        res = float(np.linalg.norm(z_next - z))
+        zs.append(z_next)
+        xs.append(x)
+        ws.append(w)
+        rs.append(res)
+        z = z_next
+        if res <= problem.stop_tol:
+            status = dl.CONVERGED
+            break
+        if not math.isfinite(res):
+            status = dl.NONFINITE
+            break
+    k = np.arange(1, len(rs) + 1)
+    return k, np.concatenate(zs), np.concatenate(xs), np.concatenate(ws), np.array(rs), status

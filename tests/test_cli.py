@@ -203,6 +203,7 @@ def test_null_vector_exits_one_naming_the_key(tmp_path, capsys, command, doc, er
         ("abc", "invalid literal for int() with base 10: 'abc'"),
         ([2], "'dim' must be a number, got [2]"),
         ({"n": 2}, "'dim' must be a number, got {\"n\": 2}"),
+        (2.5, "'dim' must be an integer, got 2.5"),
     ],
 )
 def test_check_cycle_malformed_dim_exits_one(tmp_path, capsys, dim, err):
@@ -214,6 +215,42 @@ def test_check_cycle_malformed_dim_exits_one(tmp_path, capsys, dim, err):
     # a null dim still means "no dim"
     doc["dim"] = None
     assert main(["check-cycle", "--problem", write_doc(tmp_path, doc), "--trials", "5"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        ("run-drs", dict(L1_QUAD, z0=[5.0], max_iters=2.9), "'max_iters' must be an integer, got 2.9"),
+        ("run-drs", dict(L1_QUAD, z0=[5.0], seed=1.5), "'seed' must be an integer, got 1.5"),
+        # json writes and reads Infinity; int() of it used to raise OverflowError
+        ("run-drs", dict(L1_QUAD, z0=[5.0], max_iters=float("inf")),
+         "'max_iters' must be an integer, got Infinity"),
+        ("moreau-check", {"op": {"type": "zero"}, "dim": 2.5}, "'dim' must be an integer, got 2.5"),
+        ("classify-resolvent", dict(ZERO_PAIR, dim=2.5), "'dim' must be an integer, got 2.5"),
+    ],
+)
+def test_non_integral_integer_setting_exits_one(tmp_path, capsys, command, doc, err):
+    code = main([command, "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("run-drs", dict(L1_QUAD, z0=[5.0]), "max_iters"),
+        ("check-cycle", {"op": {"type": "zero"}}, "dim"),
+        ("moreau-check", {"op": {"type": "zero"}}, "dim"),
+    ],
+)
+def test_integral_float_setting_reads_as_its_integer(tmp_path, capsys, command, doc, key):
+    def run(value):
+        code = main([command, "--problem", write_doc(tmp_path, dict(doc, **{key: value}))])
+        return code, capsys.readouterr()
+
+    assert run(3.0) == run(3)
 
 
 def test_moreau_check_rejects_zero_trials(tmp_path, capsys):

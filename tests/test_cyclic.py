@@ -141,6 +141,18 @@ def test_cycle_witness_validates_xi():
         dl.CycleWitness(pts, vals, cycle_sum=0.0, xi=5.0)
 
 
+def test_cycle_witness_rejects_a_stored_sum_its_points_do_not_show():
+    points, values = [[1.0], [2.0]], [[0.5], [0.25]]  # cycle sum 0.25
+    message = r"^cycle_sum 7.0 disagrees with the sum 0.25 of its points$"
+    with pytest.raises(ValueError, match=message):
+        dl.CycleWitness(points, values, 7.0)
+    document = dl.CycleWitness(points, values, 0.25).to_dict()
+    with pytest.raises(ValueError, match=message):
+        dl.CycleWitness.from_dict(dict(document, cycle_sum=7.0))
+    # rounding of another summation order is not a disagreement
+    assert dl.CycleWitness(points, values, 0.25 + 1e-12).certifies
+
+
 def test_cycle_witness_round_trip():
     witness = dl.skew_three_cycle(np.array([[2.0]]), np.array([1.0]), np.array([0.5]))
     clone = dl.CycleWitness.from_dict(witness.to_dict())

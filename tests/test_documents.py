@@ -40,7 +40,7 @@ def documents():
         "BlockSystem": dl.BlockSystem(dl.ScaledIdentity(1.0), dl.Zero(), 0.5, 2),
         "PpaState": dl.PpaState([1.0, 2.0], [0.0, -1.0], [3.0, 4.0]),
         "CycleWitness": dl.skew_three_cycle(np.array([[1.0]]), [1.0], [0.0]),
-        "CycleWitness_no_xi": dl.CycleWitness([[1.0], [2.0]], [[0.5], [0.25]], -0.25),
+        "CycleWitness_no_xi": dl.CycleWitness([[1.0], [2.0]], [[0.5], [0.25]], 0.25),
         "ResolventClassification": dl.ResolventClassification(np.eye(2), 0.0, "Proximal"),
         "EquivalenceReport": dl.EquivalenceReport(
             1e-12, 10, "direct", {"lifted": 0.0, "reduced": 1e-12}
@@ -83,7 +83,7 @@ PINNED = {
         '"values": [[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "xi": 2.0}'
     ),
     "CycleWitness_no_xi": (
-        '{"cycle_sum": -0.25, "n": 2, "points": [[1.0], [2.0]], "values": [[0.5], [0.25]]}'
+        '{"cycle_sum": 0.25, "n": 2, "points": [[1.0], [2.0]], "values": [[0.5], [0.25]]}'
     ),
     "ResolventClassification": (
         '{"recovered_M": [[1.0, 0.0], [0.0, 1.0]], "symmetry_defect": 0.0, "verdict": "Proximal"}'

@@ -183,7 +183,7 @@ def test_ppa_state_and_witness_copy_their_inputs():
     dl.PpaState(u, s, z)
     points = (np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     values = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    dl.CycleWitness(points, values, 0.0)
+    dl.CycleWitness(points, values, 2.0)
     for arr in (u, s, z) + points + values:
         assert arr.flags.writeable
 

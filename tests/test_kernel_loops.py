@@ -1,9 +1,10 @@
 """The checked-once loops against the public per-step functions, bit for bit.
 
 ``run`` and the recursion and lifted legs of ``formulation_trajectories``
-iterate unchecked row kernels.  These tests rebuild each loop from the
-public, checked ``splitting_pass``, ``drs_step`` and ``ppa_step`` and ask
-for exactly equal arrays, not just close ones.
+iterate unchecked kernels on a 1-D point.  These tests rebuild each loop
+from the public, checked ``splitting_pass`` (on (1, n) rows for ``run``),
+``drs_step`` and ``ppa_step`` and ask for exactly equal arrays, not just
+close ones.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from helpers import operator_zoo
+from helpers import operator_zoo, row_reference_run
 
 ZOO = operator_zoo()
 
@@ -33,36 +34,9 @@ seeds = st.integers(0, 2**32 - 1)
 quiet = pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
 
 
-def reference_run(problem, z0):
-    """``run`` written with the public splitting_pass and np.linalg.norm."""
-    z = np.asarray(z0, dtype=float)
-    ks, zs, xs, ws, rs = [], [], [], [], []
-    status = dl.MAX_ITERS
-    for k in range(1, problem.max_iters + 1):
-        z_tilde, x, w = dl.splitting_pass(problem.A, problem.B, problem.tau, z)
-        if problem.gamma == 1.0:
-            z_next = z_tilde
-        else:
-            z_next = (1.0 - problem.gamma) * z + problem.gamma * z_tilde
-        res = float(np.linalg.norm(z_next - z))
-        ks.append(k)
-        zs.append(z_next)
-        xs.append(x)
-        ws.append(w)
-        rs.append(res)
-        z = z_next
-        if res <= problem.stop_tol:
-            status = dl.CONVERGED
-            break
-        if not np.isfinite(res):
-            status = dl.NONFINITE
-            break
-    return np.array(ks), np.vstack(zs), np.vstack(xs), np.vstack(ws), np.array(rs), status
-
-
 def assert_run_is_reference(problem, z0):
     record = dl.run(problem, z0)
-    k, z, x, w, residual, status = reference_run(problem, z0)
+    k, z, x, w, residual, status = row_reference_run(problem, z0)
     assert record.status == status
     for name, ref in (("k", k), ("z", z), ("x", x), ("w", w), ("residual", residual)):
         got = getattr(record, name)

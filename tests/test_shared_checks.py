@@ -21,6 +21,9 @@ MALFORMED_CYCLES = [
      "all points and values must share one dimension"),
     ([[0.0], [1.0]], [[1.0]], dl.LengthMismatch, "2 points but 1 values"),
     ([[0.0]], [[1.0]], dl.LengthMismatch, "a cycle needs at least two points"),
+    # (1, 2) points once ended in numpy's matmul ValueError
+    ([[[1.0, 2.0]], [[3.0, 4.0]]], [[[1.0, 0.0]], [[0.0, 1.0]]], dl.DimensionMismatch,
+     "points and values must be vectors, got shape (1, 2)"),
 ]
 
 
