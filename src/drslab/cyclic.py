@@ -10,8 +10,9 @@ For a linear operator this reduces to symmetry of the matrix, which is
 what :func:`classify_resolvent` measures on the recovered generator
 T^{-1} - I of a linear resolvent T.  :func:`skew_three_cycle` builds an
 explicit three-point violation for a pure skew coupling, and
-:func:`sample_cycles` searches graphs at random.  A found witness is a
-certificate; absence of one after any number of trials proves nothing.
+:func:`sample_cycles` searches graphs at random, block by block, until
+the first witness.  A found witness is a certificate; absence of one
+after any number of trials proves nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ TOL_VIOLATION = 1e-8
 
 #: Agreement required between a closed-form xi and the recomputed cycle sum.
 TOL_XI = 1e-10
+
+# Graph points sample_cycles draws, maps and scores at once (2048 measured fastest)
+_BLOCK_ROWS = 2048
 
 PROXIMAL = "Proximal"
 NOT_PROXIMAL = "NotProximal"
@@ -218,6 +222,10 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
     ``TOL_VIOLATION``, scanning lengths in increasing order and trials
     in draw order; returns None when no tuple violates.  ``dim`` fixes
     the ambient dimension for dimension-free operators (default 1).
+
+    Trials are drawn and scored in blocks of about ``_BLOCK_ROWS`` graph
+    points until the first witness, so memory does not grow with
+    ``trials``; the witness is the one a single draw of all trials gives.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
@@ -228,19 +236,17 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
     d = dim if dim is not None else (op.dim if op.dim is not None else 1)
     rng = np.random.default_rng(seed)
     for n in range(2, n_max + 1):
-        W = rng.standard_normal((trials * n, d))
-        P, U = _graph_points(op, W)
-        P = P.reshape(trials, n, d)
-        U = U.reshape(trials, n, d)
-        sums = np.einsum("tnd,tnd->t", np.roll(P, -1, axis=1) - P, U)
-        hits = np.nonzero(sums > TOL_VIOLATION)[0]
-        if hits.size:
-            t = int(hits[0])
-            return CycleWitness(
-                tuple(P[t]),
-                tuple(U[t]),
-                float(sums[t]),
-            )
+        per_block = max(1, _BLOCK_ROWS // n)
+        for start in range(0, trials, per_block):
+            m = min(per_block, trials - start)
+            P, U = _graph_points(op, rng.standard_normal((m * n, d)))
+            P = P.reshape(m, n, d)
+            U = U.reshape(m, n, d)
+            sums = np.einsum("tnd,tnd->t", np.roll(P, -1, axis=1) - P, U)
+            hits = np.nonzero(sums > TOL_VIOLATION)[0]
+            if hits.size:
+                t = int(hits[0])
+                return CycleWitness(tuple(P[t]), tuple(U[t]), float(sums[t]))
     return None
 
 

@@ -219,14 +219,17 @@ def run(problem, z0):
         if not math.isfinite(res):
             status = NONFINITE
             break
-    # one array per field, so that keeping one field keeps no other alive
+    # one array per field, so that keeping one field keeps no other alive;
+    # each list is emptied once its array is built, not after all three
+    fields = {}
+    for name, rows in (("z", zs), ("x", xs), ("w", ws)):
+        fields[name] = np.array(rows)
+        rows.clear()
     return TrajectoryRecord(
         k=np.arange(1, len(rs) + 1),
-        z=np.array(zs),
-        x=np.array(xs),
-        w=np.array(ws),
         residual=np.array(rs, dtype=float),
         status=status,
+        **fields,
     )
 
 

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .blocks import BlockSystem, coupling_gram, reduced_resolvent_via_drs
+from .blocks import BlockSystem, coupling_gram
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
 from .operators import Document, Inverse
@@ -71,13 +71,15 @@ def formulation_trajectories(problem, z0, iters):
     inv_a, inv_b = Inverse(A), Inverse(B)
     zl = _trajectory(lambda Z: _lifted_rows(inv_a, inv_b, tau, Z)[2], z0, iters)
 
-    # reduced form, iterated in v coordinates and scaled back to z
+    # reduced form, iterated in v coordinates and scaled back to z; the
+    # fallback is blocks.reduced_resolvent_via_drs on the unchecked drs kernel
+    rt = system.root_tau
     try:
         step_matrix = np.eye(system.n) + coupling_gram(system)
         reduced_path, reduced_step = REDUCED_DIRECT, partial(np.linalg.solve, step_matrix)
     except DrslabError:
-        reduced_path, reduced_step = REDUCED_FALLBACK, partial(reduced_resolvent_via_drs, system)
-    rt = system.root_tau
+        reduced_path = REDUCED_FALLBACK
+        reduced_step = lambda V: _splitting_rows(A, B, tau, rt * V)[0] / rt  # noqa: E731
     zr = rt * _trajectory(reduced_step, z0 / rt, iters)
     zr[0] = z0
 

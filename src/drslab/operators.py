@@ -309,8 +309,8 @@ class Box(MonotoneOperator):
         hi = _frozen_array(self.hi, 1, "hi")
         if lo.shape != hi.shape:
             raise DimensionMismatch(f"lo/hi shapes differ: {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
-            raise ValueError("box requires lo <= hi componentwise")
+        if not np.all(lo <= hi):  # a NaN bound fails too
+            raise ValueError("box requires lo <= hi componentwise, with no NaN bound")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -1,11 +1,13 @@
 """Shared test fixtures: deterministic operators, sampling utilities and the
-reference loop of ``run``."""
+reference loops of ``run`` and ``sample_cycles``."""
 
 import math
 
 import numpy as np
 
 import drslab as dl
+from drslab.cyclic import TOL_VIOLATION, CycleWitness, _graph_points
+from drslab.errors import DimensionMismatch
 
 
 def rotation():
@@ -88,3 +90,31 @@ def row_reference_run(problem, z0):
             break
     k = np.arange(1, len(rs) + 1)
     return k, np.concatenate(zs), np.concatenate(xs), np.concatenate(ws), np.array(rs), status
+
+
+def one_shot_sample_cycles(op, n_max, trials, seed, dim=None):
+    """``sample_cycles`` as it was before it drew in blocks: every trial of
+    a cycle length drawn, mapped and scored at once."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if dim is not None and op.dim is not None and dim != op.dim:
+        raise DimensionMismatch(f"dim={dim} conflicts with operator dimension {op.dim}")
+    d = dim if dim is not None else (op.dim if op.dim is not None else 1)
+    rng = np.random.default_rng(seed)
+    for n in range(2, n_max + 1):
+        W = rng.standard_normal((trials * n, d))
+        P, U = _graph_points(op, W)
+        P = P.reshape(trials, n, d)
+        U = U.reshape(trials, n, d)
+        sums = np.einsum("tnd,tnd->t", np.roll(P, -1, axis=1) - P, U)
+        hits = np.nonzero(sums > TOL_VIOLATION)[0]
+        if hits.size:
+            t = int(hits[0])
+            return CycleWitness(
+                tuple(P[t]),
+                tuple(U[t]),
+                float(sums[t]),
+            )
+    return None

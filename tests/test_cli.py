@@ -141,6 +141,28 @@ def test_null_setting_exits_one_naming_the_key(tmp_path, capsys, key):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("run-drs", dict(L1_QUAD, z0=[5.0]), key)
+        for key in ("tau", "gamma", "max_iters", "stop_tol", "seed")
+    ]
+    + [
+        ("check-cycle", {"op": {"type": "zero"}}, "dim"),
+        ("check-cycle", {"op": {"type": "zero"}, "dim": 1}, "seed"),
+        ("moreau-check", {"op": {"type": "zero"}}, "dim"),
+    ],
+)
+def test_boolean_setting_exits_one(tmp_path, capsys, command, doc, key, value):
+    # a JSON boolean is not a number, though Python reads true as 1
+    code = main([command, "--problem", write_doc(tmp_path, dict(doc, **{key: value}))])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {key!r} must be a number, got {json.dumps(value)}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -358,6 +380,19 @@ def test_check_cycle_clean_on_subdifferential(tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(captured.out)
     assert payload["witness"] is None
+
+
+@pytest.mark.parametrize("lo, hi", [([float("nan")], [1.0]), ([0.0, 0.0], [1.0, float("nan")])])
+def test_check_cycle_rejects_a_nan_box_bound(tmp_path, capsys, lo, hi):
+    # a NaN bound maps every point to NaN, so no cycle sum could ever violate
+    doc = {"op": {"type": "prox_box", "lo": lo, "hi": hi}}
+    code = main(["check-cycle", "--problem", write_doc(tmp_path, doc), "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == (
+        "error: bad 'op' operator: box requires lo <= hi componentwise, with no NaN bound\n"
+    )
+    assert captured.out == ""
 
 
 def test_check_cycle_accepts_a_key(tmp_path, capsys):

@@ -343,6 +343,9 @@ def test_l1_and_box_validation():
         dl.Box([0.0, 0.0], [1.0, -1.0])
     with pytest.raises(dl.DimensionMismatch):
         dl.Box([0.0], [1.0, 2.0])
+    for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([np.nan], [np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            dl.Box(lo, hi)
 
 
 def test_affine_constraint_requires_full_row_rank():
