@@ -67,10 +67,28 @@ def _operator(doc, key):
         spec = doc[key]
     except KeyError:
         raise CliError(f"problem file is missing the {key!r} operator") from None
+    found = _non_number_field(spec) if isinstance(spec, dict) else None
+    if found is not None:
+        name, value = found
+        raise CliError(f"bad {key!r} operator: {name!r} must hold numbers, got {json.dumps(value)}")
     try:
         return operator_from_dict(spec)
     except (ValueError, DrslabError) as exc:
         raise CliError(f"bad {key!r} operator: {exc}") from exc
+
+
+def _non_number_field(spec):
+    """The first (name, value) field of an operator document, nested operators
+    included, that holds a boolean or a null, which the constructors would
+    read as 0.0 / 1.0 or NaN; None when every field holds numbers."""
+    for name, value in spec.items():
+        if isinstance(value, dict):
+            found = _non_number_field(value)
+            if found is not None:
+                return found
+        elif name != "type" and _not_numbers(value):
+            return name, value
+    return None
 
 
 def _number(cast, flag_value, doc, key, default):
@@ -89,10 +107,11 @@ def _number(cast, flag_value, doc, key, default):
 
 
 def _not_numbers(value):
-    """True for a null or an object, or a list holding one; numpy reads a null as NaN."""
+    """True for a null, a boolean or an object, or a list holding one; numpy
+    reads a null as NaN and a boolean as 0.0 or 1.0."""
     if isinstance(value, list):
         return any(map(_not_numbers, value))
-    return value is None or isinstance(value, dict)
+    return value is None or isinstance(value, (bool, dict))
 
 
 def _vector(doc, key):

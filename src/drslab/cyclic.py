@@ -307,12 +307,14 @@ def classify_resolvent(T):
 def inverse_preserves_cyclic(M):
     """Check that inverting a symmetric PD matrix keeps it symmetric PD.
 
-    Raises NotSymmetricPD unless M is symmetric to 1e-10 (relative) with
-    strictly positive eigenvalues; returns True when M^{-1} passes the
-    same test at 1e-8.
+    Raises NotSymmetricPD unless M is finite and symmetric to 1e-10
+    (relative) with strictly positive eigenvalues; returns True when M^{-1}
+    passes the same test at 1e-8.
     """
     M = np.asarray(M, dtype=float)
     _check_square(M, "M")
+    if not np.all(np.isfinite(M)):  # a NaN would pass every test below
+        raise NotSymmetricPD("M has a NaN or infinite entry")
     defect = float(np.linalg.norm(M - M.T))
     if defect > 1e-10 * max(1.0, float(np.linalg.norm(M))):
         raise NotSymmetricPD(f"M is not symmetric: defect {defect:.3e}")

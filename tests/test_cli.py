@@ -395,6 +395,82 @@ def test_check_cycle_rejects_a_nan_box_bound(tmp_path, capsys, lo, hi):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        (
+            "check-cycle",
+            {"op": {"type": "linear", "M": [[float("nan"), 0.0], [0.0, 1.0]]}},
+            "bad 'op' operator: M must be finite, got a NaN or infinite entry",
+        ),
+        (
+            "run-drs",
+            {"A": {"type": "linear", "M": [[float("inf")]]}, "B": {"type": "zero"}},
+            "bad 'A' operator: M must be finite, got a NaN or infinite entry",
+        ),
+        (
+            "run-drs",
+            dict(L1_QUAD, B={"type": "prox_quadratic", "Q": [[1.0]], "q": [float("-inf")]}),
+            "bad 'B' operator: q must be finite, got a NaN or infinite entry",
+        ),
+    ],
+)
+def test_non_finite_operator_exits_one(tmp_path, capsys, command, doc, err):
+    # before, a NaN generator sampled NaN cycles that never violate, and an
+    # infinite one "converged"
+    code = main([command, "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        (
+            dict(L1_QUAD, A={"type": "prox_l1", "weight": True}),
+            "bad 'A' operator: 'weight' must hold numbers, got true",
+        ),
+        (dict(L1_QUAD, z0=[True]), "'z0' must hold numbers, got [true]"),
+        (
+            dict(L1_QUAD, B={"type": "prox_quadratic", "Q": [[False]], "q": [-1.0]}),
+            "bad 'B' operator: 'Q' must hold numbers, got [[false]]",
+        ),
+        (
+            dict(L1_QUAD, B={"type": "prox_quadratic", "Q": [[1.0]], "q": [None]}),
+            "bad 'B' operator: 'q' must hold numbers, got [null]",
+        ),
+        (
+            {
+                "A": {
+                    "type": "block2x2",
+                    "A": {"type": "zero"},
+                    "B": {"type": "scaled_identity", "alpha": True},
+                    "C": [[1.0]],
+                },
+                "B": {"type": "zero"},
+            },
+            "bad 'A' operator: 'alpha' must hold numbers, got true",
+        ),
+        (
+            {
+                "A": {"type": "inverse", "inner": {"type": "linear", "M": [[1.0, True], [0.0, 1.0]]}},
+                "B": {"type": "zero"},
+            },
+            "bad 'A' operator: 'M' must hold numbers, got [[1.0, true], [0.0, 1.0]]",
+        ),
+    ],
+)
+def test_boolean_or_null_in_a_document_exits_one(tmp_path, capsys, doc, err):
+    # Python reads true as 1.0: before, these ran with weight 1 or z0 = [1]
+    code = main(["run-drs", "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
 def test_check_cycle_accepts_a_key(tmp_path, capsys):
     path = write_doc(tmp_path, SKEW)
     code = main(["check-cycle", "--problem", path, "--trials", "500", "--seed", "7"])

@@ -379,3 +379,10 @@ def test_inverse_preserves_cyclic_rejections():
         dl.inverse_preserves_cyclic(np.diag([1.0, 0.0]))
     with pytest.raises(dl.DimensionMismatch):
         dl.inverse_preserves_cyclic(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("M", [[[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]]])
+def test_inverse_preserves_cyclic_rejects_non_finite(M):
+    # a NaN passes the symmetry and eigenvalue tests, so it must be refused first
+    with np.errstate(all="ignore"), pytest.raises(dl.NotSymmetricPD, match="NaN or infinite"):
+        dl.inverse_preserves_cyclic(np.array(M))

@@ -346,6 +346,27 @@ def test_l1_and_box_validation():
     for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([np.nan], [np.nan])):
         with pytest.raises(ValueError, match="NaN"):
             dl.Box(lo, hi)
+    # infinite bounds stay allowed: a half-line or the whole line
+    assert dl.resolve(dl.Box([-np.inf, 0.0], [np.inf, np.inf]), 1.0, [-3.0, -3.0]).tolist() == [-3.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("M", lambda v: dl.LinearRelation([[v, 0.0], [0.0, 1.0]])),
+        ("Q", lambda v: dl.Quadratic([[v]], [0.0])),
+        ("q", lambda v: dl.Quadratic([[1.0]], [v])),
+        ("E", lambda v: dl.AffineConstraint([[1.0, v]], [0.0])),
+        ("e", lambda v: dl.AffineConstraint([[1.0, 0.0]], [v])),
+        ("C", lambda v: dl.Block2x2(dl.Zero(), dl.Zero(), [[v]])),
+    ],
+)
+def test_non_finite_coefficients_are_rejected(field, build, bad):
+    # a NaN passes every comparison of the monotonicity and rank checks
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got a NaN or infinite entry$"):
+            build(bad)
 
 
 def test_affine_constraint_requires_full_row_rank():
