@@ -26,8 +26,6 @@ import numpy as np
 from .cyclic import classify_resolvent, drs_map_matrix, sample_cycles, skew_three_cycle
 from .drs import (
     CONVERGED,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_STOP_TOL,
     NONFINITE,
     DrsProblem,
     run,
@@ -35,7 +33,7 @@ from .drs import (
 )
 from .equivalence import compare_formulations
 from .errors import DrslabError
-from .operators import moreau_residual, operator_from_dict
+from .operators import _numbers, moreau_residual, operator_from_dict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,71 +65,47 @@ def _operator(doc, key):
         spec = doc[key]
     except KeyError:
         raise CliError(f"problem file is missing the {key!r} operator") from None
-    found = _non_number_field(spec) if isinstance(spec, dict) else None
-    if found is not None:
-        name, value = found
-        raise CliError(f"bad {key!r} operator: {name!r} must hold numbers, got {json.dumps(value)}")
     try:
         return operator_from_dict(spec)
     except (ValueError, DrslabError) as exc:
         raise CliError(f"bad {key!r} operator: {exc}") from exc
 
 
-def _non_number_field(spec):
-    """The first (name, value) field of an operator document, nested operators
-    included, that holds a boolean or a null, which the constructors would
-    read as 0.0 / 1.0 or NaN; None when every field holds numbers."""
-    for name, value in spec.items():
-        if isinstance(value, dict):
-            found = _non_number_field(value)
-            if found is not None:
-                return found
-        elif name != "type" and _not_numbers(value):
-            return name, value
-    return None
-
-
 def _number(cast, flag_value, doc, key, default):
     """The flag, else the file's key, else the default, through cast; an int
     cast takes only integral numbers, never a truncated fraction, and no
-    cast takes a JSON boolean."""
+    cast takes a JSON boolean or string."""
     value = flag_value if flag_value is not None else doc.get(key, default)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise CliError(f"{key!r} must be a number, got {json.dumps(value)}")
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise CliError(f"{key!r} must be an integer, got {json.dumps(value)}")
     try:
         return cast(value)
-    except TypeError:  # null, a list or an object; a bad string raises ValueError
+    except TypeError:  # null, a list or an object
         raise CliError(f"{key!r} must be a number, got {json.dumps(value)}") from None
-
-
-def _not_numbers(value):
-    """True for a null, a boolean or an object, or a list holding one; numpy
-    reads a null as NaN and a boolean as 0.0 or 1.0."""
-    if isinstance(value, list):
-        return any(map(_not_numbers, value))
-    return value is None or isinstance(value, (bool, dict))
 
 
 def _vector(doc, key):
     """The numbers under the file's key as a float array of at least one dimension."""
-    value = doc[key]
-    if _not_numbers(value):
-        raise CliError(f"{key!r} must hold numbers, got {json.dumps(value)}")
-    return np.atleast_1d(np.asarray(value, dtype=float))
+    return np.atleast_1d(_numbers(doc[key], key))
+
+
+#: Each problem setting: its document key, cast and flag attribute.
+_SETTINGS = (("tau", float, "tau"), ("gamma", float, "gamma"), ("max_iters", int, "iters"),
+             ("stop_tol", float, "stop_tol"), ("seed", int, "seed"))
 
 
 def _build_problem(args, doc):
-    return DrsProblem(
-        _operator(doc, "A"),
-        _operator(doc, "B"),
-        tau=_number(float, args.tau, doc, "tau", 1.0),
-        gamma=_number(float, getattr(args, "gamma", None), doc, "gamma", 1.0),
-        max_iters=_number(int, getattr(args, "iters", None), doc, "max_iters", DEFAULT_MAX_ITERS),
-        stop_tol=_number(float, getattr(args, "stop_tol", None), doc, "stop_tol", DEFAULT_STOP_TOL),
-        seed=_number(int, args.seed, doc, "seed", 0),
-    )
+    """The problem of the file's operators and of the settings given as a flag
+    or a document key; DrsProblem's defaults fill in the others."""
+    A, B = _operator(doc, "A"), _operator(doc, "B")
+    settings = {}
+    for key, cast, flag in _SETTINGS:
+        flag_value = getattr(args, flag, None)
+        if flag_value is not None or key in doc:
+            settings[key] = _number(cast, flag_value, doc, key, None)
+    return DrsProblem(A, B, **settings)
 
 
 def _problem_dim(problem, doc):
@@ -199,16 +173,16 @@ def cmd_run_drs(args):
 def cmd_check_equivalence(args):
     doc = _load_document(args.problem)
     problem = _build_problem(args, doc)
-    iters = int(args.iters) if args.iters is not None else 100
     if "z0" in doc:
         z0 = _vector(doc, "z0")
     else:
         z0 = np.random.default_rng(problem.seed).standard_normal(_problem_dim(problem, doc))
-    report = compare_formulations(problem, z0, iters)
+    iters = {} if args.iters is None else {"iters": args.iters}
+    report = compare_formulations(problem, z0, **iters)
     _emit_json(args, report.to_dict())
     ok = report.max_deviation <= EQUIVALENCE_TOL
     _say(
-        f"max deviation {report.max_deviation:.3e} over {iters} iterations "
+        f"max deviation {report.max_deviation:.3e} over {report.iters} iterations "
         f"(reduced path: {report.reduced_path})"
     )
     return EXIT_OK if ok else EXIT_ERROR

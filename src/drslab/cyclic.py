@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     DrslabError,
     LengthMismatch,
-    NonMonotone,
     NotLinear,
     NotSymmetricPD,
     SingularMatrix,
@@ -36,6 +35,7 @@ from .errors import (
 from .operators import (
     Block2x2,
     Document,
+    _check_monotone,
     _check_square,
     _frozen_array,
     _linalg,
@@ -288,12 +288,7 @@ def classify_resolvent(T):
     _check_square(T, "T")
     T_inv = _linalg(np.linalg.inv, SingularMatrix, "resolvent matrix is singular", T)
     M = T_inv - np.eye(T.shape[0])
-    lam = np.linalg.eigvalsh(symmetric_part(M))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if float(lam[0]) < -1e-8 * scale:
-        raise NonMonotone(
-            f"recovered generator is not monotone: min symmetric eigenvalue {lam[0]:.3e}"
-        )
+    _check_monotone(M, "recovered generator", tol=1e-8, floor=1.0)
     defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
     if defect <= 1e-8:
         verdict = PROXIMAL

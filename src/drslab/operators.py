@@ -17,11 +17,11 @@ replaces the kept matrix.  ``Inverse`` resolves its inner operator at
 ``1/(1/tau) == tau`` in floating point.  ``AffineConstraint`` builds its
 projector once, at construction.
 
-Construction.  Every coefficient matrix and vector must be finite.  A
-``LinearRelation`` or ``Quadratic`` proves its matrix monotone with one
-Cholesky factorization of its (slightly shifted) symmetric part, n^3/3
-flops; eigenvalues are computed only to reject a matrix or to decide one
-whose symmetric part is PSD but singular (``_check_monotone``).
+Construction.  Every field passes the one number gate (``_numbers``), and
+every coefficient matrix and vector must be finite.  ``_check_monotone``
+proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
+``classify_resolvent`` recovers, monotone with one Cholesky factorization
+(n^3/3 flops) of the shifted symmetric part, which is formed without overflow.
 
 Operators are immutable values; the kept matrix is a cache that never
 changes a result.  Every kernel (``_resolve``) and ``resolve`` accept a
@@ -38,6 +38,7 @@ picks the class.
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -57,13 +58,33 @@ TOL_SYM = 1e-10
 
 
 def symmetric_part(M):
-    """Return (M + M^T) / 2."""
+    """Return M/2 + M^T/2, which cannot overflow where (M + M^T)/2 would."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * M + 0.5 * M.T
+
+
+def _holds_numbers(value):
+    """True for a real number, or an array or (nested) list of them only."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":
+            return True
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return all(map(_holds_numbers, value))
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _numbers(values, name):
+    """The one number gate: values as a float array, else ValueError for a null,
+    a boolean, a string or an object at any depth of a list, which numpy would
+    read as NaN, 0.0 / 1.0 or the parsed value, or fail on with a TypeError."""
+    if not _holds_numbers(values):
+        raise ValueError(f"{name!r} must hold numbers, got {json.dumps(values, default=repr)}")
+    return np.array(values, dtype=float)
 
 
 def _frozen_array(values, ndim, name):
-    arr = np.array(values, dtype=float)
+    arr = _numbers(values, name)
     if arr.ndim != ndim:
         raise DimensionMismatch(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -84,22 +105,31 @@ def _check_square(M, name):
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
 
 
-def _check_monotone(M, name):
+def _check_monotone(M, name, tol=TOL_PSD, floor=0.0):
     """Raise NonMonotone unless the symmetric part S of M is PSD within tolerance.
 
-    The test is ``lambda_min(S) >= -TOL_PSD * max|lambda(S)|``.  It is first
-    tried as one Cholesky factorization (n^3/3 flops) of ``S + delta*I`` with
-    ``delta = TOL_PSD/2 * max_i |S_ii|``.  A success with a finite factor is
-    exact for ``S + delta*I + E``, ``||E||`` of order n*eps*||S||, so
+    The test is ``lambda_min(S) >= -tol * max(floor, max|lambda(S)|)``.  It
+    is first tried as one Cholesky factorization (n^3/3 flops) of
+    ``S + delta*I`` with ``delta = tol/2 * max(floor, max_i |S_ii|)``.  A
+    success with a finite factor is exact for ``S + delta*I + E``, ``||E||``
+    of order n*eps*||S||, so
     ``lambda_min(S) >= -delta - ||E||``.  As ``max_i |S_ii| <= max|lambda|``,
     delta is at most half the tolerance, and the other half absorbs ``||E||``
-    while n*eps is far below TOL_PSD/2 (4e-14 at n = 200): a success accepts
+    while n*eps is far below tol/2 (4e-14 at n = 200): a success accepts
     only what the eigenvalue test accepts.  Otherwise (an indefinite S, a
     PSD-singular one such as the zero part of a skew M, or a factor that is
     not finite) the eigenvalue test decides, and it alone rejects.
+
+    When ``n * max|S_ij|``, a bound on every ``|lambda|``, nears the float
+    range, S is first scaled by an exact power of two: no eigenvalue and no
+    tolerance overflows.
     """
     S = symmetric_part(M)
-    delta = 0.5 * TOL_PSD * float(np.abs(S.diagonal()).max())
+    unit = 1.0
+    if not np.abs(S).max() < np.finfo(float).max / (2 * S.shape[0]):
+        unit = 2.0 ** (S.shape[0].bit_length() + 1)
+        S, floor = S / unit, floor / unit
+    delta = 0.5 * tol * max(floor, float(np.abs(S.diagonal()).max()))
     shifted = S.copy()
     np.fill_diagonal(shifted, S.diagonal() + delta)
     try:
@@ -110,10 +140,10 @@ def _check_monotone(M, name):
     if factor is not None and np.isfinite(factor).all():
         return
     lam = np.linalg.eigvalsh(S)
-    scale = float(np.max(np.abs(lam)))
-    if float(lam[0]) < -TOL_PSD * scale:
+    scale = max(floor, float(np.max(np.abs(lam))))
+    if float(lam[0]) < -tol * scale:
         raise NonMonotone(
-            f"{name} is not monotone: min symmetric eigenvalue {lam[0]:.3e}"
+            f"{name} is not monotone: min symmetric eigenvalue {float(lam[0]) * unit:.3e}"
         )
 
 
@@ -229,7 +259,7 @@ class ScaledIdentity(MonotoneOperator):
     tag = "scaled_identity"
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", float(_frozen_array(self.alpha, 0, "alpha")))
         if not self.alpha >= 0.0:
             raise NonMonotone(f"alpha must be nonnegative, got {self.alpha}")
 
@@ -324,7 +354,7 @@ class L1(MonotoneOperator):
     is_subdifferential = True
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", float(_frozen_array(self.weight, 0, "weight")))
         if not self.weight > 0.0:
             raise ValueError(f"weight must be positive, got {self.weight}")
 

@@ -191,7 +191,7 @@ def test_unparsable_setting_keeps_its_message(tmp_path, capsys):
     code = main(["run-drs", "--problem", path])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
-    assert captured.err == "error: could not convert string to float: 'abc'\n"
+    assert captured.err == "error: 'tau' must be a number, got \"abc\"\n"
 
 
 ZERO_PAIR = {"A": {"type": "zero"}, "B": {"type": "zero"}}
@@ -222,7 +222,7 @@ def test_null_vector_exits_one_naming_the_key(tmp_path, capsys, command, doc, er
 @pytest.mark.parametrize(
     "dim, err",
     [
-        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("abc", "'dim' must be a number, got \"abc\""),
         ([2], "'dim' must be a number, got [2]"),
         ({"n": 2}, "'dim' must be a number, got {\"n\": 2}"),
         (2.5, "'dim' must be an integer, got 2.5"),
