@@ -39,6 +39,8 @@ from .operators import (
     _check_square,
     _frozen_array,
     _linalg,
+    _numbers,
+    _scalar,
     resolve,
     symmetric_part,
 )
@@ -76,7 +78,7 @@ class CycleWitness(Document):
         pts, vals = _cycle_arrays(self.points, self.values)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "cycle_sum", float(self.cycle_sum))
+        object.__setattr__(self, "cycle_sum", _scalar(self.cycle_sum, "cycle_sum"))
         total = cycle_sum(pts, vals)
         slack = TOL_XI * max(1.0, abs(total))
         if not np.isclose(self.cycle_sum, total, rtol=0.0, atol=slack, equal_nan=True):
@@ -84,7 +86,7 @@ class CycleWitness(Document):
                 f"cycle_sum {self.cycle_sum!r} disagrees with the sum {total!r} of its points"
             )
         if self.xi is not None:
-            object.__setattr__(self, "xi", float(self.xi))
+            object.__setattr__(self, "xi", _scalar(self.xi, "xi"))
             if abs(self.xi - self.cycle_sum) > TOL_XI * max(1.0, abs(self.xi)):
                 raise ValueError(
                     f"xi {self.xi!r} disagrees with cycle sum {self.cycle_sum!r}"
@@ -124,8 +126,8 @@ class ResolventClassification(Document):
 def _cycle_arrays(points, values):
     """A cycle tuple as two tuples of read-only float copies, checked: as many
     values as points, at least two points, and one vector shape for all of them."""
-    pts = tuple(np.array(p, dtype=float, ndmin=1) for p in points)
-    vals = tuple(np.array(v, dtype=float, ndmin=1) for v in values)
+    pts = tuple(np.atleast_1d(_numbers(p, "points")) for p in points)
+    vals = tuple(np.atleast_1d(_numbers(v, "values")) for v in values)
     if len(pts) != len(vals):
         raise LengthMismatch(f"{len(pts)} points but {len(vals)} values")
     if len(pts) < 2:

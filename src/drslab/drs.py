@@ -14,7 +14,11 @@ Cost model.  ``splitting_pass`` checks its inputs like ``resolve``, then
 calls the unchecked kernel ``_splitting_rows`` on the point or row stack.
 ``run`` checks z0 once and iterates that kernel on the 1-D point: two
 resolvent kernel calls (``op._resolve``) plus a few n-vector operations per
-step (the reflection, the update, the relaxed blend and the residual).
+step (the reflection, the update, the relaxed blend and the residual).  At
+small n each of these costs its numpy calls, so the reflection is
+``X + X - Z`` (doubling is exact: the bits of ``2.0*X - Z``, without turning
+2.0 into an array) and the residual is ``operators._norm`` (the bits of
+``np.linalg.norm``).
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .operators import (
     MonotoneOperator,
     _check_tau,
     _checked_points,
+    _integer,
+    _norm,
+    _scalar,
     graph_member,
     resolve,
 )
@@ -47,7 +54,7 @@ DEFAULT_MAX_ITERS = 100_000
 def _splitting_rows(A, B, tau, Z):
     """The splitting update on a point or a row stack Z, without input checks."""
     X = B._resolve(tau, Z)
-    W = A._resolve(tau, 2.0 * X - Z)
+    W = A._resolve(tau, X + X - Z)
     return Z - X + W, X, W
 
 
@@ -92,11 +99,11 @@ class DrsProblem(Document):
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
-        object.__setattr__(self, "stop_tol", float(self.stop_tol))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "tau", _check_tau(self.tau))
+        object.__setattr__(self, "gamma", _scalar(self.gamma, "gamma"))
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
+        object.__setattr__(self, "stop_tol", _scalar(self.stop_tol, "stop_tol"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "tau", _check_tau(_scalar(self.tau, "tau")))
         if not 0.0 < self.gamma <= 2.0:
             raise ValueError(f"gamma must lie in (0, 2], got {self.gamma}")
         if self.gamma == 2.0:
@@ -207,7 +214,7 @@ def run(problem, z0):
         z_tilde, x, w = _splitting_rows(A, B, tau, z)
         z_next = _relaxed(gamma, z, z_tilde)
         d = z_next - z
-        res = math.sqrt(d.dot(d))  # exactly np.linalg.norm of a real vector
+        res = _norm(d)
         zs.append(z_next)
         xs.append(x)
         ws.append(w)

@@ -11,14 +11,25 @@ checked to near machine precision instead of to solver tolerance.
 Cost model.  The dense variants (``LinearRelation``, ``Quadratic`` and a
 coupled ``Block2x2``) invert ``I + tau*S`` once, on their first resolve at a
 given tau, and keep that one n x n matrix (n^2 floats) on the instance; a
-resolve at the same tau is then a single product, and a resolve at a new tau
-replaces the kept matrix.  ``Inverse`` resolves its inner operator at
-``1/tau``, so calls through the Moreau identity share one matrix whenever
-``1/(1/tau) == tau`` in floating point.  ``AffineConstraint`` builds its
-projector once, at construction.
+``Quadratic`` keeps ``tau*q`` beside it, in the same slot.  A resolve at the
+same tau is then a single product, and a resolve at a new tau replaces the
+kept slot.  ``Inverse`` resolves its inner operator at ``1/tau``, so calls
+through the Moreau identity share one matrix whenever ``1/(1/tau) == tau``
+in floating point.  ``AffineConstraint`` builds its projector once, at
+construction.
 
-Construction.  Every field passes the one number gate (``_numbers``), and
-every coefficient matrix and vector must be finite.  ``_check_monotone``
+At n <= 3 a resolve costs its numpy calls, not its flops, so the kernels use
+the cheapest entry points with the same bits: every product is the method
+``X.dot(R.T)`` (the BLAS routine ``X @ R.T`` calls, at about 1.0 us a call
+at n = 3 where ``@`` takes 2.0 us), and every 2-norm is ``_norm``, numpy's own
+``sqrt(v.dot(v))`` for a real vector without ``np.linalg.norm``'s wrapper.
+``tests/test_kernel_bits.py`` holds each kernel to the bits of the ``@``
+and ``np.linalg.norm`` forms.
+
+Construction.  Every field passes the one number gate (``_numbers``, through
+``_scalar`` for one number; ``DrsProblem`` and ``CycleWitness`` use it too,
+and ``_integer`` for a count or a seed), and every coefficient matrix and
+vector must be finite.  ``_check_monotone``
 proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 ``classify_resolvent`` recovers, monotone with one Cholesky factorization
 (n^3/3 flops) of the shifted symmetric part, which is formed without overflow.
@@ -39,6 +50,7 @@ picks the class.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -100,6 +112,22 @@ def _finite_array(values, ndim, name):
     return arr
 
 
+def _scalar(value, name):
+    """The number gate for one real number, as a float."""
+    return float(_frozen_array(value, 0, name))
+
+
+def _integer(value, name):
+    """The number gate for a count or a seed: an int, else ValueError for a
+    number with a fraction part, or for a non-number as in ``_numbers``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)  # exact, where a float would round a large one
+    number = _scalar(value, name)
+    if not number.is_integer():
+        raise ValueError(f"{name!r} must be an integer, got {number!r}")
+    return int(number)
+
+
 def _check_square(M, name):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
@@ -159,18 +187,29 @@ def _linalg(fn, error, message, *args):
         raise error(message) from exc
 
 
-def _resolvent_matrix(op, tau, S, singular_message):
-    """Compute, keep and return the read-only matrix (I + tau*S)^{-1}.
+def _resolvent_matrix(op, tau, S, singular_message, *shift):
+    """Compute, keep and return the slot ``(tau, R, *shift)``, R the read-only
+    matrix (I + tau*S)^{-1}.
 
-    It is kept in the one slot ``op._resolvent = (tau, R)``, which a dense
-    ``_resolve`` reads itself and refills here only for a new tau.
+    It is kept in the one slot ``op._resolvent``, which a dense ``_resolve``
+    reads itself and refills here only for a new tau; anything else that
+    depends on tau (a ``Quadratic`` keeps ``tau*q`` as ``shift``) is kept in
+    the same slot, so it cannot go stale apart from R.
     ``singular_message`` may hold a ``{tau}`` field.
     """
     message = singular_message.format(tau=tau)
     R = _linalg(np.linalg.inv, SingularSystem, message, np.eye(S.shape[0]) + tau * S)
-    R.flags.writeable = False
-    object.__setattr__(op, "_resolvent", (tau, R))
-    return R
+    for arr in (R, *shift):
+        arr.flags.writeable = False
+    kept = (tau, R, *shift)
+    object.__setattr__(op, "_resolvent", kept)
+    return kept
+
+
+def _norm(v):
+    """The 2-norm of a real 1-D array: ``np.linalg.norm``'s own formula
+    ``sqrt(v.dot(v))`` (same bits), without its Python wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 def _encode(value):
@@ -234,7 +273,7 @@ class MonotoneOperator(Document):
     def _graph_residual(self, y, u):
         # u in op(y)  iff  y = J(1, y + u); firm nonexpansiveness makes
         # this residual a lower bound on the graph distance.
-        return float(np.linalg.norm(y - self._resolve(1.0, y + u)))
+        return _norm(y - self._resolve(1.0, y + u))
 
     def to_dict(self):
         return {"type": self.tag, **super().to_dict()}
@@ -259,7 +298,7 @@ class ScaledIdentity(MonotoneOperator):
     tag = "scaled_identity"
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(_frozen_array(self.alpha, 0, "alpha")))
+        object.__setattr__(self, "alpha", _scalar(self.alpha, "alpha"))
         if not self.alpha >= 0.0:
             raise NonMonotone(f"alpha must be nonnegative, got {self.alpha}")
 
@@ -267,7 +306,7 @@ class ScaledIdentity(MonotoneOperator):
         return X / (1.0 + tau * self.alpha)
 
     def _graph_residual(self, y, u):
-        return float(np.linalg.norm(self.alpha * y - u))
+        return _norm(self.alpha * y - u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +333,11 @@ class LinearRelation(MonotoneOperator):
     def _resolve(self, tau, X):
         kept_tau, R = getattr(self, "_resolvent", (None, None))
         if kept_tau != tau:
-            R = _resolvent_matrix(self, tau, self.M, "I + tau*M is singular for tau={tau}")
-        return X @ R.T
+            _, R = _resolvent_matrix(self, tau, self.M, "I + tau*M is singular for tau={tau}")
+        return X.dot(R.T)
 
     def _graph_residual(self, y, u):
-        return float(np.linalg.norm(self.M @ y - u))
+        return _norm(self.M.dot(y) - u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,13 +374,15 @@ class Quadratic(MonotoneOperator):
         return self.Q.shape[0]
 
     def _resolve(self, tau, X):
-        kept_tau, R = getattr(self, "_resolvent", (None, None))
+        kept_tau, R, shift = getattr(self, "_resolvent", (None, None, None))
         if kept_tau != tau:
-            R = _resolvent_matrix(self, tau, self.Q, "I + tau*Q is singular for tau={tau}")
-        return (X - tau * self.q) @ R.T
+            _, R, shift = _resolvent_matrix(
+                self, tau, self.Q, "I + tau*Q is singular for tau={tau}", tau * self.q
+            )
+        return (X - shift).dot(R.T)
 
     def _graph_residual(self, y, u):
-        return float(np.linalg.norm(self.Q @ y + self.q - u))
+        return _norm(self.Q.dot(y) + self.q - u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +395,7 @@ class L1(MonotoneOperator):
     is_subdifferential = True
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", float(_frozen_array(self.weight, 0, "weight")))
+        object.__setattr__(self, "weight", _scalar(self.weight, "weight"))
         if not self.weight > 0.0:
             raise ValueError(f"weight must be positive, got {self.weight}")
 
@@ -431,7 +472,7 @@ class AffineConstraint(MonotoneOperator):
         return self.E.shape[1]
 
     def _resolve(self, tau, X):
-        return X @ self._projector.T + self._offset
+        return X.dot(self._projector.T) + self._offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,15 +575,15 @@ class Block2x2(MonotoneOperator):
                 raise UnsupportedComposition(
                     "coupled resolvent needs linear-representable blocks"
                 ) from exc
-            R = _resolvent_matrix(self, tau, S, "coupled block system is singular")
-        return X @ R.T
+            _, R = _resolvent_matrix(self, tau, S, "coupled block system is singular")
+        return X.dot(R.T)
 
     def _graph_residual(self, y, u):
         n1 = self.n1
         y1, y2 = y[:n1], y[n1:]
         u1, u2 = u[:n1], u[n1:]
-        ra = self.A._graph_residual(y1, u1 + self.C.T @ y2)
-        rb = self.B._graph_residual(y2, u2 - self.C @ y1)
+        ra = self.A._graph_residual(y1, u1 + self.C.T.dot(y2))
+        rb = self.B._graph_residual(y2, u2 - self.C.dot(y1))
         return max(ra, rb)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import BlockSystem
 from .errors import DimensionMismatch
-from .operators import Document, Inverse, graph_residual
+from .operators import Document, Inverse, _norm, graph_residual
 
 
 #: The lifted form runs on the one system type of the reduced paths.
@@ -77,7 +77,7 @@ def _lifted_rows(inv_a, inv_b, tau, Z):
     checks; returns (u+, s+, z+) in the layout of Z."""
     W = Z / tau
     U = inv_b._resolve(1.0 / tau, W)
-    S = inv_a._resolve(1.0 / tau, W - 2.0 * U)
+    S = inv_a._resolve(1.0 / tau, W - (U + U))  # U + U: exact, the bits of 2.0*U
     return U, S, Z - tau * (S + U)
 
 
@@ -100,7 +100,7 @@ def ppa_inclusion_residual(sys, prev, nxt):
     tau = sys.tau
     r1 = graph_residual(sys.B, prev.z - tau * nxt.u, nxt.u)
     r2 = graph_residual(sys.A, prev.z - 2.0 * tau * nxt.u - tau * nxt.s, nxt.s)
-    r3 = float(np.linalg.norm(nxt.z - (prev.z - tau * (nxt.u + nxt.s))))
+    r3 = _norm(nxt.z - (prev.z - tau * (nxt.u + nxt.s)))
     return max(r1, r2, r3)
 
 

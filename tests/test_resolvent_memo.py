@@ -88,7 +88,7 @@ def test_kept_matrix_is_keyed_and_read_only(name, op, tau):
     holder = op.inner if isinstance(op, dl.Inverse) else op
     key = 1.0 / tau if isinstance(op, dl.Inverse) else tau
     dl.resolve(op, tau, np.ones(op.dim))
-    kept_tau, R = holder._resolvent
+    kept_tau, R = holder._resolvent[:2]  # a Quadratic also keeps tau*q
     assert kept_tau == key
     with pytest.raises(ValueError):
         R[0, 0] = 0.0
@@ -104,6 +104,21 @@ def test_moreau_identity_with_warm_slot(name, op, dim, tau, seed):
     x = 3.0 * np.random.default_rng(seed).standard_normal(dim)
     dl.resolve(op, tau, x)
     assert dl.moreau_residual(op, tau, x) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(tau1=taus, tau2=taus)
+def test_new_tau_refreshes_the_kept_matrix_and_shift_together(tau1, tau2):
+    op = next(op for name, op in DENSE if name == "quadratic")
+    for tau in (tau1, tau2, tau1):
+        dl.resolve(op, tau, np.ones(op.dim))
+        kept_tau, R, shift = op._resolvent
+        assert kept_tau == tau
+        assert shift.tobytes() == (tau * op.q).tobytes()
+        with pytest.raises(ValueError):
+            shift[0] = 0.0
+        n = R.shape[0]
+        assert np.max(np.abs(R @ (np.eye(n) + tau * op.Q) - np.eye(n))) <= 1e-12
 
 
 def test_singular_factor_raises_every_time_and_is_not_kept():

@@ -92,12 +92,34 @@ def test_every_numeric_field_of_the_zoo_is_reached():
             ("affine", "e"), ("inverse_l1", "inner"), ("block2x2", "A"), ("block2x2", "C")} <= paths
 
 
+def problem(**settings):
+    """A DrsProblem built from its document, with the given settings."""
+    return dl.DrsProblem.from_dict({"A": {"type": "zero"}, "B": {"type": "zero"}, **settings})
+
+
+def witness(**fields):
+    """A CycleWitness built from its document, with the given fields."""
+    return dl.CycleWitness.from_dict(
+        {"points": [[1.0], [2.0]], "values": [[0.0], [0.0]], "cycle_sum": 0.0, **fields}
+    )
+
+
 @pytest.mark.parametrize("build, text", [
     (lambda: dl.L1(True), "'weight' must hold numbers, got true"),
     (lambda: dl.LinearRelation([[True]]), "'M' must hold numbers, got [[true]]"),
     (lambda: dl.ScaledIdentity("3"), "'alpha' must hold numbers, got \"3\""),
     (lambda: dl.Box([None], [1.0]), "'lo' must hold numbers, got [null]"),
     (lambda: dl.Quadratic([[1.0]], [{}]), "'q' must hold numbers, got [{}]"),
+    (lambda: problem(tau="2.0"), "'tau' must hold numbers, got \"2.0\""),
+    (lambda: problem(gamma=None), "'gamma' must hold numbers, got null"),
+    (lambda: problem(stop_tol="1e-9"), "'stop_tol' must hold numbers, got \"1e-9\""),
+    (lambda: problem(max_iters=True), "'max_iters' must hold numbers, got true"),
+    (lambda: problem(max_iters=2.5), "'max_iters' must be an integer, got 2.5"),
+    (lambda: problem(seed=2.7), "'seed' must be an integer, got 2.7"),
+    (lambda: problem(seed=float("nan")), "'seed' must be an integer, got nan"),
+    (lambda: witness(points=[["1.0"], [True]]), "'points' must hold numbers, got [\"1.0\"]"),
+    (lambda: witness(values=[[0.0], [None]]), "'values' must hold numbers, got [null]"),
+    (lambda: witness(cycle_sum="0"), "'cycle_sum' must hold numbers, got \"0\""),
 ])
 def test_library_callers_get_the_cli_checks(build, text):
     with pytest.raises(ValueError) as info:
@@ -109,6 +131,15 @@ def test_numpy_numbers_pass_the_gate():
     assert dl.ScaledIdentity(np.float64(2.0)).alpha == 2.0
     assert dl.L1(np.array(0.5)).weight == 0.5
     assert dl.LinearRelation(np.eye(2, dtype=int)).M.dtype == float
+
+
+def test_integral_settings_pass_the_gate():
+    built = problem(tau=2, max_iters=3.0, seed=np.int64(7))
+    assert (built.tau, built.max_iters, built.seed) == (2.0, 3, 7)
+    assert type(built.max_iters) is int and type(built.seed) is int
+    assert problem(seed=2**70 + 1).seed == 2**70 + 1  # not rounded through a float
+    points = witness(points=[np.array([1.0]), [2]]).points
+    assert [p.tolist() for p in points] == [[1.0], [2.0]]
 
 
 OVERFLOWING = [
