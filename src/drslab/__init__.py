@@ -5,33 +5,17 @@ classical recursion, a lifted 4-variable proximal-point form, and a
 reduced resolvent), an operator catalog with exact resolvents, and a
 test bench showing that the splitting map is always a resolvent but is
 a proximal mapping only in dimension one.
+
+Importing the package loads the solve half (``operators``, ``drs`` and
+``catalog``).  The analysis half (``blocks``, ``ppa``, ``equivalence`` and
+``cyclic``) loads on first use: each of its public names, and each of the
+four modules, is looked up in ``_LAZY`` by ``__getattr__`` and bound into
+this package object on that first access, so a caller that keeps the
+package across a purge of ``sys.modules`` goes on using the classes it was
+built with.  ``drslab.cli`` imports everything.
 """
 
-from .blocks import (
-    BlockSystem,
-    EliminationPair,
-    coupling_gram,
-    elimination_pair,
-    lifted_blocks,
-    moreau_complement_form,
-    reduced_resolvent_direct,
-    reduced_resolvent_fukushima,
-    reduced_resolvent_via_drs,
-)
 from .catalog import CatalogEntry, catalog_by_name, standard_catalog
-from .cyclic import (
-    INCONCLUSIVE,
-    NOT_PROXIMAL,
-    PROXIMAL,
-    CycleWitness,
-    ResolventClassification,
-    classify_resolvent,
-    cycle_sum,
-    drs_map_matrix,
-    inverse_preserves_cyclic,
-    sample_cycles,
-    skew_three_cycle,
-)
 from .drs import (
     CONVERGED,
     MAX_ITERS,
@@ -43,16 +27,6 @@ from .drs import (
     run,
     solution_certificate,
     splitting_pass,
-)
-from .equivalence import (
-    LIFTED,
-    RECURSION,
-    REDUCED,
-    REDUCED_DIRECT,
-    REDUCED_FALLBACK,
-    EquivalenceReport,
-    compare_formulations,
-    formulation_trajectories,
 )
 from .errors import (
     DimensionMismatch,
@@ -87,13 +61,36 @@ from .operators import (
     resolve,
     symmetric_part,
 )
-from .ppa import (
-    PpaState,
-    PpaSystem,
-    initial_state,
-    ppa_inclusion_residual,
-    ppa_step,
-    reduce_state,
-)
+
+#: Each name of the analysis half, and each of its modules, to its home module.
+_LAZY = {name: home for home, names in {
+    "blocks": "BlockSystem EliminationPair coupling_gram elimination_pair lifted_blocks"
+              " moreau_complement_form reduced_resolvent_direct reduced_resolvent_fukushima"
+              " reduced_resolvent_via_drs",
+    "cyclic": "INCONCLUSIVE NOT_PROXIMAL PROXIMAL CycleWitness ResolventClassification"
+              " classify_resolvent cycle_sum drs_map_matrix inverse_preserves_cyclic"
+              " sample_cycles skew_three_cycle",
+    "equivalence": "LIFTED RECURSION REDUCED REDUCED_DIRECT REDUCED_FALLBACK EquivalenceReport"
+                   " compare_formulations formulation_trajectories",
+    "ppa": "PpaState PpaSystem initial_state ppa_inclusion_residual ppa_step reduce_state",
+}.items() for name in (home, *names.split())}
+
+
+def __getattr__(name):
+    """Load an analysis name's home module and bind the name here, once."""
+    from importlib import import_module
+
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # a home module this package already imported, even if sys.modules was purged since
+    module = globals().get(home) or import_module(f"{__name__}.{home}")
+    value = globals()[name] = module if name == home else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from .operators import (
     MonotoneOperator,
     _check_tau,
     _frozen_array,
+    _integer,
     _linalg,
     _points,
     linear_matrix,
@@ -55,7 +56,7 @@ class BlockSystem(Document):
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _check_tau(self.tau))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         for name, op in (("A", self.A), ("B", self.B)):

@@ -84,6 +84,9 @@ def _number(cast, flag_value, doc, key, default):
         return cast(value)
     except TypeError:  # null, a list or an object
         raise CliError(f"{key!r} must be a number, got {json.dumps(value)}") from None
+    except OverflowError:  # an int past the float range, not echoed: it may be huge
+        message = f"{key!r} must be a number in the float range, got a larger integer"
+        raise CliError(message) from None
 
 
 def _vector(doc, key):

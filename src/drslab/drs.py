@@ -103,7 +103,7 @@ class DrsProblem(Document):
         object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
         object.__setattr__(self, "stop_tol", _scalar(self.stop_tol, "stop_tol"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-        object.__setattr__(self, "tau", _check_tau(_scalar(self.tau, "tau")))
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         if not 0.0 < self.gamma <= 2.0:
             raise ValueError(f"gamma must lie in (0, 2], got {self.gamma}")
         if self.gamma == 2.0:

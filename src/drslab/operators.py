@@ -27,8 +27,9 @@ at n = 3 where ``@`` takes 2.0 us), and every 2-norm is ``_norm``, numpy's own
 and ``np.linalg.norm`` forms.
 
 Construction.  Every field passes the one number gate (``_numbers``, through
-``_scalar`` for one number; ``DrsProblem`` and ``CycleWitness`` use it too,
-and ``_integer`` for a count or a seed), and every coefficient matrix and
+``_scalar`` for one number; ``DrsProblem``, ``BlockSystem`` and
+``CycleWitness`` use it too, ``_integer`` for a count or a seed and
+``_check_tau`` for a step size), and every coefficient matrix and
 vector must be finite.  ``_check_monotone``
 proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 ``classify_resolvent`` recovers, monotone with one Cholesky factorization
@@ -89,10 +90,15 @@ def _holds_numbers(value):
 def _numbers(values, name):
     """The one number gate: values as a float array, else ValueError for a null,
     a boolean, a string or an object at any depth of a list, which numpy would
-    read as NaN, 0.0 / 1.0 or the parsed value, or fail on with a TypeError."""
+    read as NaN, 0.0 / 1.0 or the parsed value, or fail on with a TypeError,
+    and for an integer past the float range (numpy's OverflowError)."""
     if not _holds_numbers(values):
         raise ValueError(f"{name!r} must hold numbers, got {json.dumps(values, default=repr)}")
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # an int past the float range, not echoed: it may be huge
+        message = f"{name!r} must hold numbers in the float range, got a larger integer"
+        raise ValueError(message) from None
 
 
 def _frozen_array(values, ndim, name):
@@ -532,6 +538,8 @@ class Block2x2(MonotoneOperator):
     def __post_init__(self):
         C = _finite_array(self.C, 2, "C")
         object.__setattr__(self, "C", C)
+        # C is frozen, so the coupling is decided once, not on every resolve
+        object.__setattr__(self, "_coupled", bool(np.any(C)))
         n2, n1 = C.shape
         if self.A.dim is not None and self.A.dim != n1:
             raise DimensionMismatch(
@@ -556,12 +564,12 @@ class Block2x2(MonotoneOperator):
 
     @property
     def is_subdifferential(self):
-        if np.any(self.C):
+        if self._coupled:
             return False
         return self.A.is_subdifferential and self.B.is_subdifferential
 
     def _resolve(self, tau, X):
-        if not np.any(self.C):
+        if not self._coupled:
             # zero coupling: the block system splits exactly
             n1 = self.n1
             left = self.A._resolve(tau, X[..., :n1])
@@ -631,8 +639,10 @@ def _check_point_dim(op, n):
 
 
 def _check_tau(tau):
-    """The one step-size check: tau as a float, positive and finite."""
-    tau = float(tau)
+    """The one step-size check: tau as a float, positive and finite.  A tau
+    that is not a float passes the number gate, so a string, a boolean or
+    None is refused; a float costs no numpy call."""
+    tau = float(tau) if isinstance(tau, float) else _scalar(tau, "tau")
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     return tau

@@ -120,11 +120,31 @@ def witness(**fields):
     (lambda: witness(points=[["1.0"], [True]]), "'points' must hold numbers, got [\"1.0\"]"),
     (lambda: witness(values=[[0.0], [None]]), "'values' must hold numbers, got [null]"),
     (lambda: witness(cycle_sum="0"), "'cycle_sum' must hold numbers, got \"0\""),
+    (lambda: dl.BlockSystem(dl.Zero(), dl.Zero(), "2.0", 1), "'tau' must hold numbers, got \"2.0\""),
+    (lambda: dl.BlockSystem(dl.Zero(), dl.Zero(), 2.0, True), "'n' must hold numbers, got true"),
+    (lambda: dl.BlockSystem(dl.Zero(), dl.Zero(), 2.0, 1.5), "'n' must be an integer, got 1.5"),
+    (lambda: dl.resolve(dl.Zero(), "2.0", [1.0]), "'tau' must hold numbers, got \"2.0\""),
+    (lambda: dl.resolve(dl.Zero(), True, [1.0]), "'tau' must hold numbers, got true"),
+    (lambda: dl.splitting_pass(dl.Zero(), dl.Zero(), None, [1.0]), "'tau' must hold numbers, got null"),
+    (lambda: dl.L1(10**400), "'weight' must hold numbers in the float range, got a larger integer"),
+    (lambda: problem(tau=10**400), "'tau' must hold numbers in the float range, got a larger integer"),
 ])
 def test_library_callers_get_the_cli_checks(build, text):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == text
+
+
+@pytest.mark.parametrize("doc, text", [
+    ({"A": {"type": "prox_l1", "weight": 10**400}, "B": {"type": "zero"}, "z0": [5.0]},
+     "error: bad 'A' operator: 'weight' must hold numbers in the float range, got a larger integer\n"),
+    ({"A": {"type": "zero"}, "B": {"type": "zero"}, "z0": [10**400]},
+     "error: 'z0' must hold numbers in the float range, got a larger integer\n"),
+    ({"A": {"type": "zero"}, "B": {"type": "zero"}, "z0": [5.0], "tau": 10**400},
+     "error: 'tau' must be a number in the float range, got a larger integer\n"),
+])
+def test_an_integer_past_the_float_range_is_one_error_line(tmp_path, doc, text):
+    assert run_cli(tmp_path, "run-drs", doc) == (EXIT_ERROR, "", text)
 
 
 def test_numpy_numbers_pass_the_gate():
