@@ -111,13 +111,6 @@ class EliminationPair:
         object.__setattr__(self, "R2", R2)
 
 
-def _check_vec(sys, v):
-    V = _points(v)
-    if V.shape[-1] != sys.n:
-        raise DimensionMismatch(f"expected points of dimension {sys.n}, got shape {np.shape(v)}")
-    return V
-
-
 def lifted_blocks(sys):
     """Assemble the dense (L, K) pair for an invertible linear system; the
     only place the two blocks are inverted.
@@ -154,7 +147,7 @@ def reduced_resolvent_via_drs(sys, v):
     rescales back.  This is the general-purpose path: it only needs the
     resolvents of A and B.
     """
-    Z = sys.root_tau * _check_vec(sys, v)
+    Z = sys.root_tau * _points(v, "v", dim=sys.n)
     Z_next, _, _ = splitting_pass(sys.A, sys.B, sys.tau, Z)
     return Z_next / sys.root_tau
 
@@ -165,7 +158,7 @@ def reduced_resolvent_direct(sys, v):
     Solves (I + K L^{-1} K^T) v+ = v.  Requires both blocks to be
     invertible linear maps; raises NonInvertibleBlock otherwise.
     """
-    V = _check_vec(sys, v)
+    V = _points(v, "v", dim=sys.n)
     G = np.eye(sys.n) + coupling_gram(sys)
     return _linalg(np.linalg.solve, SingularSystem, "I + K L^{-1} K^T is singular", G, V.T).T
 
@@ -177,7 +170,7 @@ def reduced_resolvent_fukushima(sys, v):
     by the Woodbury identity.  Same invertibility requirements as the
     direct path.
     """
-    V = _check_vec(sys, v)
+    V = _points(v, "v", dim=sys.n)
     L, K = lifted_blocks(sys)
     G = L + K.T @ K
     Y = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", G, K.T @ V.T)
@@ -191,7 +184,8 @@ def moreau_complement_form(sys, v):
     on linear systems the complement independently satisfies the
     inclusion v - r in (K L^{-1} K^T)^{-1} (r) checked via dense algebra.
     """
-    return np.asarray(v, dtype=float) - reduced_resolvent_via_drs(sys, v)
+    V = _points(v, "v", dim=sys.n)
+    return V - reduced_resolvent_via_drs(sys, V)
 
 
 def elimination_pair(sys):

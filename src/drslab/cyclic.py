@@ -38,8 +38,10 @@ from .operators import (
     _check_monotone,
     _check_square,
     _frozen_array,
+    _integer,
     _linalg,
     _numbers,
+    _points,
     _scalar,
     resolve,
     symmetric_part,
@@ -120,7 +122,10 @@ class ResolventClassification(Document):
     def __post_init__(self):
         M = _frozen_array(self.recovered_M, 2, "recovered_M")
         object.__setattr__(self, "recovered_M", M)
-        object.__setattr__(self, "symmetry_defect", float(self.symmetry_defect))
+        defect = _scalar(self.symmetry_defect, "symmetry_defect")
+        object.__setattr__(self, "symmetry_defect", defect)
+        if self.verdict not in (PROXIMAL, NOT_PROXIMAL, INCONCLUSIVE):
+            raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
 def _cycle_arrays(points, values):
@@ -168,18 +173,14 @@ def skew_three_cycle(C, a1, b1):
     the zero matrix.  A witness with xi = 0 (zero inputs) is returned
     but does not certify anything.
     """
-    C = np.asarray(C, dtype=float)
+    C = _points(C, "C")
     if C.ndim != 2:
         raise DimensionMismatch(f"C must be a matrix, got shape {C.shape}")
     if not np.any(C):
         raise ZeroCoupling("coupling matrix is identically zero")
-    a1 = np.atleast_1d(np.asarray(a1, dtype=float))
-    b1 = np.atleast_1d(np.asarray(b1, dtype=float))
     n2, n1 = C.shape
-    if a1.shape != (n1,):
-        raise DimensionMismatch(f"a1 must have length {n1}, got shape {a1.shape}")
-    if b1.shape != (n2,):
-        raise DimensionMismatch(f"b1 must have length {n2}, got shape {b1.shape}")
+    a1 = _points(a1, "a1", dim=n1, ndim=1)
+    b1 = _points(b1, "b1", dim=n2, ndim=1)
 
     Ca1 = C @ a1
     Ctb1 = C.T @ b1
@@ -229,6 +230,8 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
     points until the first witness, so memory does not grow with
     ``trials``; the witness is the one a single draw of all trials gives.
     """
+    n_max, trials = _integer(n_max, "n_max"), _integer(trials, "trials")
+    seed, dim = _integer(seed, "seed"), None if dim is None else _integer(dim, "dim")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     if trials < 1:
@@ -259,7 +262,7 @@ def drs_map_matrix(problem, dim=None):
     are the images of the basis vectors; ten seeded probes then verify
     linearity to 1e-10 and raise NotLinear on any mismatch.
     """
-    n = dim if dim is not None else problem.dim
+    n = _integer(dim, "dim") if dim is not None else problem.dim
     if n is None:
         raise ValueError("problem dimension cannot be inferred; pass dim=")
     if problem.dim is not None and n != problem.dim:
@@ -286,7 +289,7 @@ def classify_resolvent(T):
 
     One-dimensional inputs are always symmetric, hence "Proximal".
     """
-    T = np.asarray(T, dtype=float)
+    T = _points(T, "T")
     _check_square(T, "T")
     T_inv = _linalg(np.linalg.inv, SingularMatrix, "resolvent matrix is singular", T)
     M = T_inv - np.eye(T.shape[0])
@@ -308,7 +311,7 @@ def inverse_preserves_cyclic(M):
     (relative) with strictly positive eigenvalues; returns True when M^{-1}
     passes the same test at 1e-8.
     """
-    M = np.asarray(M, dtype=float)
+    M = _points(M, "M")
     _check_square(M, "M")
     if not np.all(np.isfinite(M)):  # a NaN would pass every test below
         raise NotSymmetricPD("M has a NaN or infinite entry")

@@ -35,9 +35,10 @@ from .operators import (
     Document,
     MonotoneOperator,
     _check_tau,
-    _checked_points,
     _integer,
+    _integers,
     _norm,
+    _points,
     _scalar,
     graph_member,
     resolve,
@@ -63,19 +64,16 @@ def splitting_pass(A, B, tau, z):
 
     Accepts a single point or a row stack, like ``resolve``.
     """
-    tau, Z = _checked_points(tau, z, B, A)
-    return _splitting_rows(A, B, tau, Z)
+    tau, Z = _check_tau(tau), _points(z, "z", dim=B.dim)
+    return _splitting_rows(A, B, tau, _points(Z, "z", dim=A.dim))
 
 
 def _start_vector(problem, z0):
-    """z0 as a float vector of the problem's dimension."""
-    z = np.atleast_1d(np.asarray(z0, dtype=float))
-    if z.ndim != 1:
-        raise DimensionMismatch(f"z0 must be a vector, got shape {z.shape}")
+    """z0 as a float vector of the problem's dimension; words the CLI's z0 message."""
+    z = _points(z0, "z0", ndim=1)
     if problem.dim is not None and z.shape[0] != problem.dim:
-        raise DimensionMismatch(
-            f"z0 has dimension {z.shape[0]} but the problem expects {problem.dim}"
-        )
+        message = f"z0 has dimension {z.shape[0]} but the problem expects {problem.dim}"
+        raise DimensionMismatch(message)
     return z
 
 
@@ -144,8 +142,10 @@ class TrajectoryRecord(Document):
     status: str
 
     def __post_init__(self):
+        # the arrays run builds (float64, k int) are used as they are, not copied
         for name in ("k", "z", "x", "w", "residual"):
-            arr = np.asarray(getattr(self, name))
+            read = _integers if name == "k" else _points
+            arr = read(getattr(self, name), name)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -194,7 +194,7 @@ def drs_step(problem, z):
 
 def relaxed_step(problem, z):
     """One relaxed step (1-gamma)*z + gamma*drs_step(z)."""
-    z = np.asarray(z, dtype=float)
+    z = _points(z, "z")
     return _relaxed(problem.gamma, z, drs_step(problem, z))
 
 
@@ -246,7 +246,7 @@ def solution_certificate(problem, z, tol):
     With u = (z - x) / tau, verifies u in B(x) and -u in A(x) through
     graph membership at the given tolerance.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+    z = _points(z, "z", ndim=1)
     x = resolve(problem.B, problem.tau, z)
     u = (z - x) / problem.tau
     return graph_member(problem.B, x, u, tol) and graph_member(problem.A, x, -u, tol)

@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockSystem, coupling_gram
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
-from .operators import Document, Inverse
+from .operators import Document, Inverse, _integer, _scalar
 from .ppa import _lifted_rows
 
 RECURSION = "recursion"
@@ -42,6 +42,16 @@ class EquivalenceReport(Document):
     reduced_path: str
     pairwise: dict
 
+    def __post_init__(self):
+        object.__setattr__(self, "max_deviation", _scalar(self.max_deviation, "max_deviation"))
+        object.__setattr__(self, "iters", _integer(self.iters, "iters"))
+        if self.reduced_path not in (REDUCED_DIRECT, REDUCED_FALLBACK):
+            raise ValueError(f"unknown reduced_path {self.reduced_path!r}")
+        if not isinstance(self.pairwise, dict):
+            raise ValueError(f"pairwise must map pair names to numbers, got {self.pairwise!r}")
+        pairwise = {pair: _scalar(dev, pair) for pair, dev in self.pairwise.items()}
+        object.__setattr__(self, "pairwise", pairwise)
+
 
 def _trajectory(step, z0, iters):
     """The iters+1 rows z0, step(z0), step(step(z0)), ..., each step on a 1-D point."""
@@ -59,6 +69,7 @@ def formulation_trajectories(problem, z0, iters):
     formulation name to an array of shape (iters+1, n) starting at z0.
     """
     z0 = _start_vector(problem, z0)
+    iters = _integer(iters, "iters")
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
     system = BlockSystem(problem.A, problem.B, problem.tau, z0.shape[0])

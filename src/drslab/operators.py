@@ -27,10 +27,11 @@ at n = 3 where ``@`` takes 2.0 us), and every 2-norm is ``_norm``, numpy's own
 and ``np.linalg.norm`` forms.
 
 Construction.  Every field passes the one number gate (``_numbers``, through
-``_scalar`` for one number; ``DrsProblem``, ``BlockSystem`` and
-``CycleWitness`` use it too, ``_integer`` for a count or a seed and
-``_check_tau`` for a step size), and every coefficient matrix and
-vector must be finite.  ``_check_monotone``
+``_scalar`` for one number, ``_integer`` for a count or a seed and
+``_check_tau`` for a step size), and every coefficient matrix and vector must
+be finite.  Every array a caller hands a function of the package (a point, a
+row stack, a vector or a matrix) is read by ``_points``: a float64 array as
+it is, with no copy, anything else through the same gate.  ``_check_monotone``
 proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 ``classify_resolvent`` recovers, monotone with one Cholesky factorization
 (n^3/3 flops) of the shifted symmetric part, which is formed without overflow.
@@ -72,7 +73,7 @@ TOL_SYM = 1e-10
 
 def symmetric_part(M):
     """Return M/2 + M^T/2, which cannot overflow where (M + M^T)/2 would."""
-    M = np.asarray(M, dtype=float)
+    M = _points(M, "M")
     return 0.5 * M + 0.5 * M.T
 
 
@@ -119,7 +120,9 @@ def _finite_array(values, ndim, name):
 
 
 def _scalar(value, name):
-    """The number gate for one real number, as a float."""
+    """The number gate for one real number, as a float; a float costs no numpy call."""
+    if isinstance(value, float):
+        return float(value)
     return float(_frozen_array(value, 0, name))
 
 
@@ -132,6 +135,16 @@ def _integer(value, name):
     if not number.is_integer():
         raise ValueError(f"{name!r} must be an integer, got {number!r}")
     return int(number)
+
+
+def _integers(values, name):
+    """The number gate for an array of counts, as an int array; one is kept as it is."""
+    if type(values) is np.ndarray and values.dtype.kind in "iu":
+        return values
+    arr = _points(values, name)
+    if not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        raise ValueError(f"{name!r} must hold integers, got {arr.tolist()}")
+    return arr.astype(int)
 
 
 def _check_square(M, name):
@@ -624,38 +637,29 @@ def linear_matrix(op, n):
     raise NotLinear(f"{type(op).__name__} is not linear-representable")
 
 
-def _points(x):
-    X = np.atleast_1d(np.asarray(x, dtype=float))
-    if X.ndim > 2:
-        raise DimensionMismatch(f"points must be 1-D or 2-D, got shape {X.shape}")
+def _points(x, name, dim=None, ndim=2):
+    """The one reader of a caller's array: a float64 ``np.ndarray`` (no
+    subclass) as it is, uncopied, anything else through ``_numbers``; then at
+    most ``ndim`` dimensions (1: a vector, 2: a point or a row stack) after
+    ``np.atleast_1d``, and a last dimension of ``dim`` when it is given."""
+    X = x if type(x) is np.ndarray and x.dtype == np.float64 else _numbers(x, name)
+    if X.ndim == 0:
+        X = X.reshape(1)  # np.atleast_1d's result, without its Python wrapper
+    if X.ndim > ndim:
+        layout = "a vector" if ndim == 1 else "1-D or 2-D"
+        raise DimensionMismatch(f"{name} must be {layout}, got shape {X.shape}")
+    if dim is not None and X.shape[-1] != dim:
+        raise DimensionMismatch(f"{name} must have dimension {dim}, got shape {X.shape}")
     return X
 
 
-def _check_point_dim(op, n):
-    if op.dim is not None and op.dim != n:
-        raise DimensionMismatch(
-            f"point has dimension {n} but operator expects {op.dim}"
-        )
-
-
 def _check_tau(tau):
-    """The one step-size check: tau as a float, positive and finite.  A tau
-    that is not a float passes the number gate, so a string, a boolean or
-    None is refused; a float costs no numpy call."""
-    tau = float(tau) if isinstance(tau, float) else _scalar(tau, "tau")
+    """The one step-size check: tau through the number gate, so a string, a
+    boolean or None is refused, as a float that is positive and finite."""
+    tau = _scalar(tau, "tau")
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     return tau
-
-
-def _checked_points(tau, x, *ops):
-    """The checks of ``resolve``: tau as a positive float, x as a point or a
-    row stack, and the point dimension against each op."""
-    tau = _check_tau(tau)
-    X = _points(x)
-    for op in ops:
-        _check_point_dim(op, X.shape[-1])
-    return tau, X
 
 
 def resolve(op, tau, x):
@@ -672,22 +676,19 @@ def resolve(op, tau, x):
     -------
     ndarray with the same layout as ``x``.
     """
-    tau, X = _checked_points(tau, x, op)
-    return op._resolve(tau, X)
+    return op._resolve(_check_tau(tau), _points(x, "x", dim=op.dim))
 
 
 def graph_residual(op, y, u):
     """Numeric residual of the membership u in op(y); zero means member."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if y.ndim != 1 or y.shape != u.shape:
-        raise DimensionMismatch(f"y and u must be vectors of equal length, got {y.shape} and {u.shape}")
-    _check_point_dim(op, y.shape[0])
+    y = _points(y, "y", dim=op.dim, ndim=1)
+    u = _points(u, "u", dim=y.shape[0], ndim=1)
     return op._graph_residual(y, u)
 
 
 def graph_member(op, y, u, tol=1e-8):
     """True when u lies in op(y) up to tol."""
+    tol = _scalar(tol, "tol")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     return graph_residual(op, y, u) <= tol
@@ -695,10 +696,10 @@ def graph_member(op, y, u, tol=1e-8):
 
 def moreau_residual(op, tau, x):
     """Defect of the identity J(tau, x) + tau * J_inv(1/tau, x/tau) = x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    tau, x = _check_tau(tau), _points(x, "x")
     p = resolve(op, tau, x)
-    q = resolve(Inverse(op), 1.0 / float(tau), x / float(tau))
-    return float(np.linalg.norm(p + float(tau) * q - x))
+    q = resolve(Inverse(op), 1.0 / tau, x / tau)
+    return float(np.linalg.norm(p + tau * q - x))
 
 
 _DECODERS = {cls.tag: cls for cls in (

@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import BlockSystem
 from .errors import DimensionMismatch
-from .operators import Document, Inverse, _norm, graph_residual
+from .operators import Document, Inverse, _norm, _points, graph_residual
 
 
 #: The lifted form runs on the one system type of the reduced paths.
@@ -44,9 +44,7 @@ class PpaState(Document):
 
     def __post_init__(self):
         for name in ("u", "s", "z"):
-            arr = np.array(getattr(self, name), dtype=float, ndmin=1)
-            if arr.ndim != 1:
-                raise DimensionMismatch(f"{name} must be a vector, got shape {arr.shape}")
+            arr = _points(getattr(self, name), name, ndim=1).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if not (self.u.shape == self.s.shape == self.z.shape):
@@ -54,22 +52,12 @@ class PpaState(Document):
                 f"u, s, z must share a dimension, got {self.u.shape}, {self.s.shape}, {self.z.shape}"
             )
 
-    @property
-    def dim(self):
-        return self.z.shape[0]
-
 
 def initial_state(sys, z0):
     """Lift z0 with the u = s = 0 start convention."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    _check_state_dim(sys, z0.shape[0])
+    z0 = _points(z0, "z0", dim=sys.n, ndim=1)
     zero = np.zeros_like(z0)
     return PpaState(zero, zero, z0)
-
-
-def _check_state_dim(sys, d):
-    if d != sys.n:
-        raise DimensionMismatch(f"state dimension {d} does not match system dimension {sys.n}")
 
 
 def _lifted_rows(inv_a, inv_b, tau, Z):
@@ -83,8 +71,8 @@ def _lifted_rows(inv_a, inv_b, tau, Z):
 
 def ppa_step(sys, state):
     """One lifted update; the result depends on the input through z only."""
-    _check_state_dim(sys, state.dim)
-    return PpaState(*_lifted_rows(Inverse(sys.A), Inverse(sys.B), sys.tau, state.z))
+    Z = _points(state.z, "state.z", dim=sys.n)
+    return PpaState(*_lifted_rows(Inverse(sys.A), Inverse(sys.B), sys.tau, Z))
 
 
 def ppa_inclusion_residual(sys, prev, nxt):
@@ -95,8 +83,8 @@ def ppa_inclusion_residual(sys, prev, nxt):
     z+ = z - tau*(u+ + s+), all against the previous state's z.
     Returns the largest of the three residuals.
     """
-    _check_state_dim(sys, prev.dim)
-    _check_state_dim(sys, nxt.dim)
+    _points(prev.z, "prev.z", dim=sys.n)
+    _points(nxt.z, "nxt.z", dim=sys.n)
     tau = sys.tau
     r1 = graph_residual(sys.B, prev.z - tau * nxt.u, nxt.u)
     r2 = graph_residual(sys.A, prev.z - 2.0 * tau * nxt.u - tau * nxt.s, nxt.s)
@@ -106,5 +94,4 @@ def ppa_inclusion_residual(sys, prev, nxt):
 
 def reduce_state(sys, state):
     """Project the lifted state to the reduced coordinate v = z / sqrt(tau)."""
-    _check_state_dim(sys, state.dim)
-    return state.z / sys.root_tau
+    return _points(state.z, "state.z", dim=sys.n) / sys.root_tau

@@ -2,8 +2,9 @@
 
 Every name a module imports is used in that module (``__init__.py`` only
 re-exports, and ``from __future__ import annotations`` is a compiler
-switch), and every module-level ``_private`` name is referenced somewhere in
-``src/``.
+switch), every module-level ``_private`` name is referenced somewhere in
+``src/``, and only ``operators.py``, home of the one array reader
+``_points``, calls ``np.asarray`` or ``np.asanyarray``.
 """
 
 import ast
@@ -67,3 +68,22 @@ def test_every_private_name_is_referenced():
     }
     unreferenced = {(module, name) for module, name in private if name not in referenced}
     assert not unreferenced, f"module-level private names nothing references: {sorted(unreferenced)}"
+
+
+def array_casts(tree):
+    """Line numbers of the calls of ``asarray`` or ``asanyarray``, as an
+    attribute (``np.asarray``) or a bare imported name, in the tree."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("asarray", "asanyarray"):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"operators.py"}))
+def test_only_operators_casts_arrays(module):
+    lines = array_casts(MODULES[module])
+    assert not lines, f"{module} casts arrays on lines {lines}; read them with operators._points"

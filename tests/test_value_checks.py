@@ -10,6 +10,7 @@ tolerance, giving the verdicts and texts of its former inline test.
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ import drslab as dl
 from drslab.cli import EXIT_ERROR, main
 from drslab.cyclic import INCONCLUSIVE, NOT_PROXIMAL, PROXIMAL, ResolventClassification
 from drslab.errors import DrslabError, NonMonotone, SingularMatrix
-from drslab.operators import _check_square, _linalg, operator_from_dict, symmetric_part
-from helpers import operator_zoo
+from drslab.operators import _check_square, _linalg, _points, operator_from_dict, symmetric_part
+from helpers import operator_zoo, rotation
 from test_monotone_certificate import FAMILIES
 
 ZOO = [(name, op.to_dict(), dim) for name, op, dim in operator_zoo()]
@@ -104,6 +105,26 @@ def witness(**fields):
     )
 
 
+def system():
+    """The one-dimensional system of two zero operators."""
+    return dl.BlockSystem(dl.Zero(), dl.Zero(), 1.0, 1)
+
+
+def record(**fields):
+    """A TrajectoryRecord built from its document, with the given fields."""
+    return dl.TrajectoryRecord.from_dict({"k": [1], "z": [[0.0]], "x": [[0.0]], "w": [[0.0]],
+                                          "residual": [0.0], "status": "converged", **fields})
+
+
+def report(**fields):
+    """An EquivalenceReport built from its document, with the given fields."""
+    return dl.EquivalenceReport.from_dict({"max_deviation": 0.0, "iters": 1, "reduced_path": "drs",
+                                           "pairwise": {"recursion-lifted": 0.0}, **fields})
+
+
+SKEW = dl.LinearRelation(rotation())
+
+
 @pytest.mark.parametrize("build, text", [
     (lambda: dl.L1(True), "'weight' must hold numbers, got true"),
     (lambda: dl.LinearRelation([[True]]), "'M' must hold numbers, got [[true]]"),
@@ -128,6 +149,53 @@ def witness(**fields):
     (lambda: dl.splitting_pass(dl.Zero(), dl.Zero(), None, [1.0]), "'tau' must hold numbers, got null"),
     (lambda: dl.L1(10**400), "'weight' must hold numbers in the float range, got a larger integer"),
     (lambda: problem(tau=10**400), "'tau' must hold numbers in the float range, got a larger integer"),
+    # every array a caller hands a library function is read by operators._points
+    (lambda: dl.run(problem(), [None]), "'z0' must hold numbers, got [null]"),
+    (lambda: dl.run(problem(), ["3.0"]), "'z0' must hold numbers, got [\"3.0\"]"),
+    (lambda: dl.classify_resolvent([["0.5", 0], [0, True]]),
+     "'T' must hold numbers, got [[\"0.5\", 0], [0, true]]"),
+    (lambda: dl.skew_three_cycle([["1.0"]], [True], ["2"]), "'C' must hold numbers, got [[\"1.0\"]]"),
+    (lambda: dl.skew_three_cycle([[1.0]], [True], [2.0]), "'a1' must hold numbers, got [true]"),
+    (lambda: dl.skew_three_cycle([[1.0]], [1.0], ["2"]), "'b1' must hold numbers, got [\"2\"]"),
+    (lambda: dl.PpaState(["1.0"], [True], [None]), "'u' must hold numbers, got [\"1.0\"]"),
+    (lambda: dl.PpaState([1.0], [0.0], [None]), "'z' must hold numbers, got [null]"),
+    (lambda: dl.resolve(dl.Zero(), 1.0, ["1"]), "'x' must hold numbers, got [\"1\"]"),
+    (lambda: dl.splitting_pass(dl.Zero(), dl.Zero(), 1.0, [True]), "'z' must hold numbers, got [true]"),
+    (lambda: dl.graph_residual(dl.Zero(), ["1"], [0.0]), "'y' must hold numbers, got [\"1\"]"),
+    (lambda: dl.graph_residual(dl.Zero(), [1.0], [None]), "'u' must hold numbers, got [null]"),
+    (lambda: dl.relaxed_step(problem(), ["1"]), "'z' must hold numbers, got [\"1\"]"),
+    (lambda: dl.solution_certificate(problem(), ["1"], 1e-8), "'z' must hold numbers, got [\"1\"]"),
+    (lambda: dl.moreau_residual(dl.Zero(), 1.0, ["1"]), "'x' must hold numbers, got [\"1\"]"),
+    (lambda: dl.initial_state(system(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
+    (lambda: dl.compare_formulations(problem(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
+    (lambda: dl.reduced_resolvent_via_drs(system(), ["1"]), "'v' must hold numbers, got [\"1\"]"),
+    (lambda: dl.moreau_complement_form(system(), ["1"]), "'v' must hold numbers, got [\"1\"]"),
+    (lambda: dl.inverse_preserves_cyclic([["2"]]), "'M' must hold numbers, got [[\"2\"]]"),
+    (lambda: dl.symmetric_part([[1.0, None]]), "'M' must hold numbers, got [[1.0, null]]"),
+    # counts and tolerances pass _integer and _scalar
+    (lambda: dl.compare_formulations(problem(), [1.0], True), "'iters' must hold numbers, got true"),
+    (lambda: dl.compare_formulations(problem(), [1.0], "5"), "'iters' must hold numbers, got \"5\""),
+    (lambda: dl.compare_formulations(problem(), [1.0], 2.5), "'iters' must be an integer, got 2.5"),
+    (lambda: dl.sample_cycles(SKEW, 3, True, 0), "'trials' must hold numbers, got true"),
+    (lambda: dl.sample_cycles(SKEW, True, 10, 0), "'n_max' must hold numbers, got true"),
+    (lambda: dl.sample_cycles(SKEW, 3, 10, "0"), "'seed' must hold numbers, got \"0\""),
+    (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=True), "'dim' must hold numbers, got true"),
+    (lambda: dl.graph_member(dl.Zero(), [0.0], [0.0], tol=True), "'tol' must hold numbers, got true"),
+    (lambda: dl.drs_map_matrix(problem(), dim=True), "'dim' must hold numbers, got true"),
+    (lambda: dl.drs_map_matrix(problem(), dim=2.5), "'dim' must be an integer, got 2.5"),
+    # the documents of records, reports and classifications
+    (lambda: report(max_deviation="x"), "'max_deviation' must hold numbers, got \"x\""),
+    (lambda: report(iters=True), "'iters' must hold numbers, got true"),
+    (lambda: report(reduced_path=3), "unknown reduced_path 3"),
+    (lambda: report(pairwise=None), "pairwise must map pair names to numbers, got None"),
+    (lambda: report(pairwise={"recursion-lifted": "0"}), "'recursion-lifted' must hold numbers, got \"0\""),
+    (lambda: record(z=[["a"]]), "'z' must hold numbers, got [[\"a\"]]"),
+    (lambda: record(residual=[None]), "'residual' must hold numbers, got [null]"),
+    (lambda: record(k=[True]), "'k' must hold numbers, got [true]"),
+    (lambda: record(k=[1.5]), "'k' must hold integers, got [1.5]"),
+    (lambda: ResolventClassification(np.eye(2), "0.5", PROXIMAL),
+     "'symmetry_defect' must hold numbers, got \"0.5\""),
+    (lambda: ResolventClassification(np.eye(2), 0.0, "proximal"), "unknown verdict 'proximal'"),
 ])
 def test_library_callers_get_the_cli_checks(build, text):
     with pytest.raises(ValueError) as info:
@@ -145,6 +213,23 @@ def test_library_callers_get_the_cli_checks(build, text):
 ])
 def test_an_integer_past_the_float_range_is_one_error_line(tmp_path, doc, text):
     assert run_cli(tmp_path, "run-drs", doc) == (EXIT_ERROR, "", text)
+
+
+def test_points_uses_a_float64_array_as_it_is():
+    x = np.arange(6.0).reshape(2, 3)
+    assert _points(x, "x") is x
+    with warnings.catch_warnings():  # np.matrix is pending deprecation
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        matrix = np.matrix([0.0, 1.0, 2.0])
+    for given in (np.arange(3), [0, 1, 2], np.arange(3, dtype=np.float32), matrix):
+        got = _points(given, "x")
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.reshape(-1).tolist() == [0.0, 1.0, 2.0]
+
+
+def test_an_integral_float_count_reads_as_the_integer():
+    assert np.array_equal(dl.drs_map_matrix(problem(), dim=2.0), dl.drs_map_matrix(problem(), dim=2))
+    assert dl.compare_formulations(problem(), [1.0], 3.0).iters == 3
 
 
 def test_numpy_numbers_pass_the_gate():
