@@ -28,6 +28,7 @@ from .drs import (
     CONVERGED,
     NONFINITE,
     DrsProblem,
+    _start_vector,
     run,
     solution_certificate,
 )
@@ -124,10 +125,7 @@ def _problem_dim(problem, doc):
 def _start_point(problem, doc):
     if "z0" not in doc:
         return np.zeros(_problem_dim(problem, doc))
-    z0 = _vector(doc, "z0")
-    if z0.ndim != 1:
-        raise CliError(f"z0 must be a vector of length {len(z0)}")
-    return z0
+    return _start_vector(problem, doc["z0"])
 
 
 def _emit(args, text):

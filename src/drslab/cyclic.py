@@ -202,19 +202,23 @@ def _graph_points(op, W):
     Uses the resolvent parameterization p = J(1, w), u = w - p.  Coupled
     blocks are sampled blockwise, which reaches their whole graph even
     when the coupled resolvent itself is unavailable.
+
+    W is the caller's own fresh draw and is overwritten: U is W itself, with
+    each block's columns a view of it.  That is sound only because no
+    resolvent kernel returns its input or a view of it.
     """
     if isinstance(op, Block2x2):
         n1 = op.n1
         P1, U1 = _graph_points(op.A, W[:, :n1])
         P2, U2 = _graph_points(op.B, W[:, n1:])
-        P = np.hstack([P1, P2])
-        U = np.hstack([U1 - P2 @ op.C, U2 + P1 @ op.C.T])
-        return P, U
+        U1 -= P2 @ op.C
+        U2 += P1 @ op.C.T
+        return np.hstack([P1, P2]), W
     try:
         P = resolve(op, 1.0, W)
     except DrslabError as exc:
         raise UnsupportedSampling(f"cannot sample the graph of {type(op).__name__}") from exc
-    return P, W - P
+    return P, np.subtract(W, P, out=W)
 
 
 def sample_cycles(op, n_max, trials, seed, dim=None):
@@ -239,6 +243,8 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
     if dim is not None and op.dim is not None and dim != op.dim:
         raise DimensionMismatch(f"dim={dim} conflicts with operator dimension {op.dim}")
     d = dim if dim is not None else (op.dim if op.dim is not None else 1)
+    if d < 1:
+        raise ValueError(f"dim must be at least 1, got {d}")
     rng = np.random.default_rng(seed)
     for n in range(2, n_max + 1):
         per_block = max(1, _BLOCK_ROWS // n)
@@ -247,11 +253,14 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
             P, U = _graph_points(op, rng.standard_normal((m * n, d)))
             P = P.reshape(m, n, d)
             U = U.reshape(m, n, d)
-            sums = np.einsum("tnd,tnd->t", np.roll(P, -1, axis=1) - P, U)
+            D = np.roll(P, -1, axis=1)
+            D -= P
+            sums = np.einsum("tnd,tnd->t", D, U)
             hits = np.nonzero(sums > TOL_VIOLATION)[0]
             if hits.size:
                 t = int(hits[0])
                 return CycleWitness(tuple(P[t]), tuple(U[t]), float(sums[t]))
+            del P, U, D  # so that one block, not two, is alive while the next is drawn
     return None
 
 
@@ -267,6 +276,8 @@ def drs_map_matrix(problem, dim=None):
         raise ValueError("problem dimension cannot be inferred; pass dim=")
     if problem.dim is not None and n != problem.dim:
         raise DimensionMismatch(f"dim={n} conflicts with problem dimension {problem.dim}")
+    if n < 1:
+        raise ValueError(f"dim must be at least 1, got {n}")
     T = relaxed_step(problem, np.eye(n)).T
     rng = np.random.default_rng(problem.seed)
     for _ in range(10):

@@ -272,8 +272,10 @@ class MonotoneOperator(Document):
     """Base class for the operator variants.
 
     Subclasses implement ``_resolve`` on a point or a row stack, in the
-    layout of the input, and may override ``_graph_residual`` when a sharper
-    membership test than the generic resolvent characterization is available.
+    layout of the input, as a new array: never the input or a view of it,
+    which ``cyclic._graph_points`` overwrites.  They may override
+    ``_graph_residual`` when a sharper membership test than the generic
+    resolvent characterization is available.
     Each variant names its document ``tag``; its document is
     ``{"type": tag, **fields}``.
     """
@@ -641,13 +643,16 @@ def _points(x, name, dim=None, ndim=2):
     """The one reader of a caller's array: a float64 ``np.ndarray`` (no
     subclass) as it is, uncopied, anything else through ``_numbers``; then at
     most ``ndim`` dimensions (1: a vector, 2: a point or a row stack) after
-    ``np.atleast_1d``, and a last dimension of ``dim`` when it is given."""
+    ``np.atleast_1d``, a last dimension of at least 1 (a stack may have no
+    rows) and of ``dim`` when it is given."""
     X = x if type(x) is np.ndarray and x.dtype == np.float64 else _numbers(x, name)
     if X.ndim == 0:
         X = X.reshape(1)  # np.atleast_1d's result, without its Python wrapper
     if X.ndim > ndim:
         layout = "a vector" if ndim == 1 else "1-D or 2-D"
         raise DimensionMismatch(f"{name} must be {layout}, got shape {X.shape}")
+    if X.shape[-1] == 0:
+        raise DimensionMismatch(f"{name} must have at least one coordinate, got shape {X.shape}")
     if dim is not None and X.shape[-1] != dim:
         raise DimensionMismatch(f"{name} must have dimension {dim}, got shape {X.shape}")
     return X

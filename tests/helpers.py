@@ -92,6 +92,45 @@ def row_reference_run(problem, z0):
     return k, np.concatenate(zs), np.concatenate(xs), np.concatenate(ws), np.array(rs), status
 
 
+#: max_iters at and next to the first two block ends of ``run``, which packs
+#: its per-step lists into arrays every 64 steps
+BLOCK_ENDS = (63, 64, 65, 128, 129)
+
+
+def linf_ball_overflowing_at(steps):
+    """A 1-D problem whose run from 0 turns non-finite at exactly ``steps``.
+
+    A is the normal cone of [-1, 1] (the inverse of the l1 subdifferential) and
+    B the box [c, c + 1]: A + B has no zero, so z falls by c - 1 per step and
+    the reflection fed to J_A grows.  At tau = 1e-306 that resolvent's x / tau
+    overflows once its input passes about 180, and c places that step.
+    """
+    c = {64: 3.76, 128: 2.383}[steps]
+    return dl.DrsProblem(dl.Inverse(dl.L1(1.0)), dl.Box([c], [c + 1.0]), tau=1e-306,
+                         max_iters=1000)
+
+
+def block_end_runs():
+    """Runs of ``run`` that end at or next to one of its block ends, as
+    (id, problem, z0, status, steps): two disjoint boxes at n = 3, which never
+    converge, capped at each of BLOCK_ENDS; box_quadratic_3d converging at
+    step 64 and 128 (its stop_tol is the reference loop's residual there, and
+    its residuals fall strictly); and linf_ball_overflowing_at 64 and 128."""
+    boxes = (dl.Box([0.0] * 3, [1.0] * 3), dl.Box([2.0] * 3, [3.0] * 3))
+    runs = [(f"boxes-{k}", dl.DrsProblem(*boxes, max_iters=k), np.zeros(3), dl.MAX_ITERS, k)
+            for k in BLOCK_ENDS]
+    p = next(e.problem for e in dl.standard_catalog() if e.name == "box_quadratic_3d")
+    z0 = 3.0 * np.random.default_rng(7).standard_normal(3)
+    residual = row_reference_run(dl.DrsProblem(p.A, p.B, tau=p.tau, stop_tol=1e-300, max_iters=200),
+                                 z0)[4]
+    for k in (64, 128):
+        problem = dl.DrsProblem(p.A, p.B, tau=p.tau, stop_tol=residual[k - 1], max_iters=1000)
+        runs.append((f"converged-{k}", problem, z0, dl.CONVERGED, k))
+    for k in (64, 128):
+        runs.append((f"nonfinite-{k}", linf_ball_overflowing_at(k), np.zeros(1), dl.NONFINITE, k))
+    return runs
+
+
 def one_shot_sample_cycles(op, n_max, trials, seed, dim=None):
     """``sample_cycles`` as it was before it drew in blocks: every trial of
     a cycle length drawn, mapped and scored at once."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from helpers import monotone_matrix, rotation, spd_matrix
+from helpers import monotone_matrix, operator_zoo, rotation, spd_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -386,3 +386,11 @@ def test_inverse_preserves_cyclic_rejects_non_finite(M):
     # a NaN passes the symmetry and eigenvalue tests, so it must be refused first
     with np.errstate(all="ignore"), pytest.raises(dl.NotSymmetricPD, match="NaN or infinite"):
         dl.inverse_preserves_cyclic(np.array(M))
+
+
+@pytest.mark.parametrize("name, op, dim", operator_zoo(), ids=[z[0] for z in operator_zoo()])
+def test_no_resolvent_returns_its_input(name, op, dim):
+    # sample_cycles overwrites its draw W with U = W - P, so P must not share it
+    W = np.random.default_rng(3).standard_normal((5, dim))
+    for X in (W, W[0], W[:, ::-1]):
+        assert not np.shares_memory(dl.resolve(op, 1.0, X), X)

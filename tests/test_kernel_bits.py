@@ -15,7 +15,7 @@ import pytest
 
 import drslab as dl
 from drslab.operators import linear_matrix
-from helpers import monotone_matrix, operator_zoo, spd_matrix
+from helpers import block_end_runs, monotone_matrix, operator_zoo, spd_matrix
 from test_point_kernels import same_bits
 
 ZOO = operator_zoo()
@@ -96,6 +96,9 @@ def plain_run(problem, z0):
         if res <= problem.stop_tol:
             status = dl.CONVERGED
             break
+        if not np.isfinite(res):
+            status = dl.NONFINITE
+            break
     return np.array(zs), np.array(xs), np.array(ws), np.array(rs), status
 
 
@@ -105,6 +108,7 @@ def assert_run_bits(problem, z0):
     assert record.status == status
     for name, ref in (("z", z), ("x", x), ("w", w), ("residual", residual)):
         assert same_bits(getattr(record, name), ref), name
+    return record
 
 
 def layouts(rng, dim):
@@ -155,6 +159,17 @@ def test_run_bits_on_the_catalog(entry, gamma):
     p = entry.problem
     problem = dl.DrsProblem(p.A, p.B, tau=p.tau, gamma=gamma, max_iters=500)
     assert_run_bits(problem, 3.0 * np.random.default_rng(10).standard_normal(entry.dim))
+
+
+BLOCK_END_RUNS = block_end_runs()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite runs overflow
+@pytest.mark.parametrize("name, problem, z0, status, steps", BLOCK_END_RUNS,
+                         ids=[run[0] for run in BLOCK_END_RUNS])
+def test_run_bits_at_a_block_end(name, problem, z0, status, steps):
+    record = assert_run_bits(problem, z0)
+    assert (record.status, len(record)) == (status, steps)
 
 
 def test_run_bits_at_n_200():

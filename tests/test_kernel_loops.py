@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from helpers import operator_zoo, row_reference_run
+from helpers import BLOCK_ENDS, block_end_runs, operator_zoo, row_reference_run
 
 ZOO = operator_zoo()
 
@@ -42,7 +42,7 @@ def assert_run_is_reference(problem, z0):
         got = getattr(record, name)
         assert got.shape == ref.shape, name
         assert np.array_equal(got, ref, equal_nan=True), name
-    return record.status
+    return record
 
 
 def start(rng, n, kind):
@@ -60,7 +60,7 @@ def start(rng, n, kind):
     pair=st.sampled_from(PAIRS),
     tau=taus,
     gamma=gammas,
-    max_iters=st.sampled_from([1, 3, 300]),
+    max_iters=st.sampled_from([1, 3, 300, *BLOCK_ENDS]),
     kind=st.sampled_from(["finite", "finite", "nan", "huge"]),
     seed=seeds,
 )
@@ -86,7 +86,18 @@ def test_run_equals_reference_loop_for_each_status(catalog_map, entry, gamma, ma
     p = e.problem
     problem = dl.DrsProblem(p.A, p.B, tau=p.tau, gamma=gamma, max_iters=max_iters, stop_tol=p.stop_tol)
     z0 = start(np.random.default_rng(7), e.dim, kind)
-    assert assert_run_is_reference(problem, z0) == expected
+    assert assert_run_is_reference(problem, z0).status == expected
+
+
+BLOCK_END_RUNS = block_end_runs()
+
+
+@quiet
+@pytest.mark.parametrize("name, problem, z0, status, steps", BLOCK_END_RUNS,
+                         ids=[run[0] for run in BLOCK_END_RUNS])
+def test_run_equals_reference_loop_at_a_block_end(name, problem, z0, status, steps):
+    record = assert_run_is_reference(problem, z0)
+    assert (record.status, len(record)) == (status, steps)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import drslab as dl
 from drslab.cli import EXIT_ERROR, main
 from drslab.cyclic import INCONCLUSIVE, NOT_PROXIMAL, PROXIMAL, ResolventClassification
-from drslab.errors import DrslabError, NonMonotone, SingularMatrix
+from drslab.errors import DimensionMismatch, DrslabError, LengthMismatch, NonMonotone, SingularMatrix
 from drslab.operators import _check_square, _linalg, _points, operator_from_dict, symmetric_part
 from helpers import operator_zoo, rotation
 from test_monotone_certificate import FAMILIES
@@ -201,6 +201,58 @@ def test_library_callers_get_the_cli_checks(build, text):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == text
+
+
+EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.zeros((0, 1)), "residual": []}
+
+
+@pytest.mark.parametrize("build, error, text", [
+    # a record's fields agree in rows and width, and its status is one run gives
+    (lambda: record(k=[1, 2]), LengthMismatch,
+     "record fields differ in row count: {'k': 2, 'z': 1, 'x': 1, 'w': 1, 'residual': 1}"),
+    (lambda: record(residual=[0.0, 0.0]), LengthMismatch,
+     "record fields differ in row count: {'k': 1, 'z': 1, 'x': 1, 'w': 1, 'residual': 2}"),
+    (lambda: record(x=[[0.0, 1.0]]), DimensionMismatch,
+     "z, x and w must have one width, got shapes (1, 1), (1, 2) and (1, 1)"),
+    (lambda: record(w=[0.0]), DimensionMismatch, "w must be 2-D, got shape (1,)"),
+    (lambda: record(k=[[1]]), DimensionMismatch, "k must be 1-D, got shape (1, 1)"),
+    (lambda: record(**EMPTY_RECORD), DimensionMismatch, "k must have at least one coordinate, got shape (0,)"),
+    (lambda: record(**{**EMPTY_RECORD, "k": np.zeros(0, dtype=int)}), DimensionMismatch,
+     "residual must have at least one coordinate, got shape (0,)"),
+    (lambda: record(status="done"), ValueError, "unknown status 'done'"),
+    # no point, matrix or problem has a dimension of 0
+    (lambda: dl.run(problem(), []), DimensionMismatch, "z0 must have at least one coordinate, got shape (0,)"),
+    (lambda: dl.compare_formulations(problem(), np.zeros(0)), DimensionMismatch,
+     "z0 must have at least one coordinate, got shape (0,)"),
+    (lambda: dl.resolve(dl.Zero(), 1.0, np.zeros((3, 0))), DimensionMismatch,
+     "x must have at least one coordinate, got shape (3, 0)"),
+    (lambda: dl.graph_residual(dl.Zero(), [], []), DimensionMismatch,
+     "y must have at least one coordinate, got shape (0,)"),
+    (lambda: dl.LinearRelation(np.zeros((0, 0))), DimensionMismatch,
+     "M must have at least one coordinate, got shape (0, 0)"),
+    (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=0), ValueError, "dim must be at least 1, got 0"),
+    (lambda: dl.sample_cycles(dl.Box([], []), 3, 10, 0), ValueError, "dim must be at least 1, got 0"),
+    (lambda: dl.drs_map_matrix(problem(), dim=0), ValueError, "dim must be at least 1, got 0"),
+    (lambda: dl.drs_map_matrix(dl.DrsProblem(dl.Box([], []), dl.Zero())), ValueError,
+     "dim must be at least 1, got 0"),
+])
+def test_a_record_or_a_problem_without_data_is_refused(build, error, text):
+    with pytest.raises((ValueError, DrslabError)) as info:
+        build()
+    assert (info.type, str(info.value)) == (error, text)
+
+
+def test_a_stack_with_no_rows_maps_to_no_rows():
+    X = np.zeros((0, 3))
+    assert dl.resolve(dl.L1(1.0), 1.0, X).shape == (0, 3)
+    assert [a.shape for a in dl.splitting_pass(dl.Zero(), dl.L1(1.0), 1.0, X)] == [(0, 3)] * 3
+
+
+@pytest.mark.parametrize("command", ["run-drs", "check-equivalence"])
+def test_a_matrix_z0_is_one_error_line_on_every_command(tmp_path, command):
+    doc = {"A": {"type": "zero"}, "B": {"type": "zero"}, "z0": [[1.0, 2.0]]}
+    text = "error: DimensionMismatch: z0 must be a vector, got shape (1, 2)\n"
+    assert run_cli(tmp_path, command, doc) == (EXIT_ERROR, "", text)
 
 
 @pytest.mark.parametrize("doc, text", [
