@@ -26,7 +26,6 @@ them to 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class BlockSystem(Document):
     """Two operators, a step size, and the ambient dimension they act on."""
 
@@ -52,7 +50,6 @@ class BlockSystem(Document):
     B: MonotoneOperator
     tau: float
     n: int
-    root_tau: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _check_tau(self.tau))
@@ -88,8 +85,7 @@ class BlockSystem(Document):
         return np.block([[L, -E.T], [E, np.zeros((self.n, self.n))]])
 
 
-@dataclass(frozen=True, eq=False)
-class EliminationPair:
+class EliminationPair(Document):
     """Matrices (R1, R2) that eliminate the auxiliary block rows.
 
     They satisfy L R1 = K^T R2 and K R1 = (1/sqrt(tau)) I for the scaled

@@ -9,13 +9,12 @@ quadratic, and a box constraint against a quadratic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .drs import DrsProblem
 from .operators import (
     Box,
+    Document,
     L1,
     LinearRelation,
     Quadratic,
@@ -24,8 +23,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class CatalogEntry:
+class CatalogEntry(Document):
     """A named problem plus the ambient dimension to run it in."""
 
     name: str

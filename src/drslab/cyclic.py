@@ -17,8 +17,6 @@ after any number of trials proves nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .drs import relaxed_step
@@ -61,7 +59,6 @@ NOT_PROXIMAL = "NotProximal"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True, eq=False)
 class CycleWitness(Document):
     """A tuple of graph points with its cycle sum.
 
@@ -111,7 +108,6 @@ class CycleWitness(Document):
         return out
 
 
-@dataclass(frozen=True, eq=False)
 class ResolventClassification(Document):
     """Classifier output: the recovered generator and a verdict."""
 
@@ -142,7 +138,7 @@ def _cycle_arrays(points, values):
     for arr in pts + vals:
         if arr.shape != pts[0].shape:
             raise DimensionMismatch("all points and values must share one dimension")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return pts, vals
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +96,6 @@ def _relaxed(gamma, z, z_tilde):
     return (1.0 - gamma) * z + gamma * z_tilde
 
 
-@dataclass(frozen=True, eq=False)
 class DrsProblem(Document):
     """Immutable problem description consumed by the engine."""
 
@@ -141,11 +139,10 @@ class DrsProblem(Document):
 def _last_row(arr):
     """The last row as a read-only array of its own, which does not keep arr alive."""
     row = arr[-1].copy()
-    row.flags.writeable = False
+    row.setflags(write=False)
     return row
 
 
-@dataclass(frozen=True, eq=False)
 class TrajectoryRecord(Document):
     """Dense record of a splitting run.
 
@@ -169,14 +166,17 @@ class TrajectoryRecord(Document):
             arr = read(getattr(self, name), name)
             if arr.ndim != ndim:
                 raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {arr.shape}")
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        rows = {name: getattr(self, name).shape[0] for name in ("k", "z", "x", "w", "residual")}
-        if len(set(rows.values())) != 1:
+        K = len(self.k)
+        if not K == len(self.z) == len(self.x) == len(self.w) == len(self.residual):
+            rows = {name: len(getattr(self, name)) for name in ("k", "z", "x", "w", "residual")}
             raise LengthMismatch(f"record fields differ in row count: {rows}")
         if not self.z.shape[1] == self.x.shape[1] == self.w.shape[1]:
             shapes = f"{self.z.shape}, {self.x.shape} and {self.w.shape}"
             raise DimensionMismatch(f"z, x and w must have one width, got shapes {shapes}")
+        if np.count_nonzero(self.k != np.arange(1, K + 1)):
+            raise ValueError(f"k must count the rows 1..{K} in order")
         if self.status not in (CONVERGED, MAX_ITERS, NONFINITE):
             raise ValueError(f"unknown status {self.status!r}")
 
@@ -271,9 +271,8 @@ def run(problem, z0):
     for name, parts in blocks.items():
         fields[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
         parts.clear()
-    return TrajectoryRecord(
-        k=np.arange(1, fields["residual"].shape[0] + 1), status=status, **fields
-    )
+    k = np.arange(1, fields["residual"].shape[0] + 1)
+    return TrajectoryRecord(k, *fields.values(), status)  # fields: z, x, w, residual
 
 
 def solution_certificate(problem, z, tol):

@@ -14,7 +14,6 @@ so in ``reduced_path``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -33,7 +32,6 @@ REDUCED_DIRECT = "direct"
 REDUCED_FALLBACK = "drs"
 
 
-@dataclass(frozen=True, eq=False)
 class EquivalenceReport(Document):
     """Pairwise trajectory deviations between the three formulations."""
 

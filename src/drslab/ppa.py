@@ -21,8 +21,6 @@ auxiliary, and z+ depends on the incoming state through z alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import BlockSystem
@@ -34,7 +32,6 @@ from .operators import Document, Inverse, _norm, _points, graph_residual
 PpaSystem = BlockSystem
 
 
-@dataclass(frozen=True, eq=False)
 class PpaState(Document):
     """Lifted iterate (u, s, z); u and s are the auxiliary components."""
 
@@ -45,7 +42,7 @@ class PpaState(Document):
     def __post_init__(self):
         for name in ("u", "s", "z"):
             arr = _points(getattr(self, name), name, ndim=1).copy()
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (self.u.shape == self.s.shape == self.z.shape):
             raise DimensionMismatch(

@@ -87,3 +87,13 @@ def array_casts(tree):
 def test_only_operators_casts_arrays(module):
     lines = array_casts(MODULES[module])
     assert not lines, f"{module} casts arrays on lines {lines}; read them with operators._points"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_dataclasses(module):
+    # every record is an operators.Document: dataclass builds and execs methods at import
+    imported = {alias.name.split(".")[0] for node in ast.walk(MODULES[module])
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(MODULES[module])
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "dataclasses" not in imported

@@ -203,6 +203,8 @@ def test_library_callers_get_the_cli_checks(build, text):
     assert str(info.value) == text
 
 
+# an operator of dimension 0, which Block2x2 still builds from an empty coupling
+EMPTY_BLOCKS = dl.Block2x2(dl.Zero(), dl.Zero(), np.zeros((0, 0)))
 EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.zeros((0, 1)), "residual": []}
 
 
@@ -220,6 +222,10 @@ EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.z
     (lambda: record(**{**EMPTY_RECORD, "k": np.zeros(0, dtype=int)}), DimensionMismatch,
      "residual must have at least one coordinate, got shape (0,)"),
     (lambda: record(status="done"), ValueError, "unknown status 'done'"),
+    # a record's k numbers its rows 1..K, as run writes them
+    (lambda: record(k=[7]), ValueError, "k must count the rows 1..1 in order"),
+    (lambda: record(k=[2, 1], z=[[0.0]] * 2, x=[[0.0]] * 2, w=[[0.0]] * 2, residual=[0.0] * 2), ValueError,
+     "k must count the rows 1..2 in order"),
     # no point, matrix or problem has a dimension of 0
     (lambda: dl.run(problem(), []), DimensionMismatch, "z0 must have at least one coordinate, got shape (0,)"),
     (lambda: dl.compare_formulations(problem(), np.zeros(0)), DimensionMismatch,
@@ -230,10 +236,11 @@ EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.z
      "y must have at least one coordinate, got shape (0,)"),
     (lambda: dl.LinearRelation(np.zeros((0, 0))), DimensionMismatch,
      "M must have at least one coordinate, got shape (0, 0)"),
+    (lambda: dl.Box([], []), DimensionMismatch, "lo must have at least one coordinate, got shape (0,)"),
     (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=0), ValueError, "dim must be at least 1, got 0"),
-    (lambda: dl.sample_cycles(dl.Box([], []), 3, 10, 0), ValueError, "dim must be at least 1, got 0"),
+    (lambda: dl.sample_cycles(EMPTY_BLOCKS, 3, 10, 0), ValueError, "dim must be at least 1, got 0"),
     (lambda: dl.drs_map_matrix(problem(), dim=0), ValueError, "dim must be at least 1, got 0"),
-    (lambda: dl.drs_map_matrix(dl.DrsProblem(dl.Box([], []), dl.Zero())), ValueError,
+    (lambda: dl.drs_map_matrix(dl.DrsProblem(EMPTY_BLOCKS, dl.Zero())), ValueError,
      "dim must be at least 1, got 0"),
 ])
 def test_a_record_or_a_problem_without_data_is_refused(build, error, text):
