@@ -13,6 +13,13 @@ explicit three-point violation for a pure skew coupling, and
 :func:`sample_cycles` searches graphs at random, block by block, until
 the first witness.  A found witness is a certificate; absence of one
 after any number of trials proves nothing.
+
+Memory.  The search holds three working blocks of about ``_BLOCK_ROWS``
+graph points: the draw W, which the values u overwrite, the points p, and
+the cyclic differences.  Nothing else of block size stays alive: a coupled
+``Block2x2`` samples each column block on a contiguous copy of its columns
+and writes the result back by assignment, because numpy buffers each
+strided operand of a ufunc (up to 8,192 elements, 64 KB, each).
 """
 
 from __future__ import annotations
@@ -192,6 +199,13 @@ def skew_three_cycle(C, a1, b1):
     return CycleWitness(tuple(points), tuple(values), total, xi=xi)
 
 
+def _update_columns(ufunc, W, cols, T):
+    """W[cols] = ufunc(W[cols], T), computed on a contiguous copy of the columns."""
+    U = W[cols].copy()
+    ufunc(U, T, out=U)
+    W[cols] = U
+
+
 def _graph_points(op, W):
     """Graph points (p, u) with u in op(p), one per row of W.
 
@@ -199,17 +213,23 @@ def _graph_points(op, W):
     blocks are sampled blockwise, which reaches their whole graph even
     when the coupled resolvent itself is unavailable.
 
-    W is the caller's own fresh draw and is overwritten: U is W itself, with
-    each block's columns a view of it.  That is sound only because no
-    resolvent kernel returns its input or a view of it.
+    W is the caller's own fresh draw and is overwritten: U is W itself.
+    That is sound only because no resolvent kernel returns its input or a
+    view of it.  The points are the one other block a call returns.  A
+    coupled block samples A and B on contiguous copies of their columns, each
+    written back into W as soon as it returns, then couples one side at a
+    time, again on a contiguous copy: no ufunc runs on a strided column view
+    of W, whose operands numpy would buffer (128 KB for ``U -= T`` at
+    2048 x 4), and a call holds at most W, the points of both sides, and one
+    copied column block with its coupling product.
     """
     if isinstance(op, Block2x2):
-        n1 = op.n1
-        P1, U1 = _graph_points(op.A, W[:, :n1])
-        P2, U2 = _graph_points(op.B, W[:, n1:])
-        U1 -= P2 @ op.C
-        U2 += P1 @ op.C.T
-        return np.hstack([P1, P2]), W
+        n1, C = op.n1, op.C
+        P1, W[:, :n1] = _graph_points(op.A, W[:, :n1].copy())
+        P2, W[:, n1:] = _graph_points(op.B, W[:, n1:].copy())
+        _update_columns(np.subtract, W, np.s_[:, :n1], P2 @ C)
+        _update_columns(np.add, W, np.s_[:, n1:], P1 @ C.T)
+        return np.concatenate((P1, P2), axis=1), W
     try:
         P = resolve(op, 1.0, W)
     except DrslabError as exc:

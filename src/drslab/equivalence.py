@@ -65,7 +65,14 @@ def formulation_trajectories(problem, z0, iters):
 
     Returns (trajectories, reduced_path) where trajectories maps the
     formulation name to an array of shape (iters+1, n) starting at z0.
+    Only the unrelaxed map is compared: a problem with gamma != 1 raises
+    ValueError until the three relaxed legs exist.
     """
+    if problem.gamma != 1.0:
+        raise ValueError(
+            f"relaxed legs are not implemented: the formulations are compared at gamma = 1, "
+            f"got gamma = {problem.gamma}"
+        )
     z0 = _start_vector(problem, z0)
     iters = _integer(iters, "iters")
     if iters < 1:

@@ -16,7 +16,9 @@ same tau is then a single product, and a resolve at a new tau replaces the
 kept slot.  ``Inverse`` resolves its inner operator at ``1/tau``, so calls
 through the Moreau identity share one matrix whenever ``1/(1/tau) == tau``
 in floating point.  ``AffineConstraint`` builds its projector once, at
-construction.
+construction, and adds its offset to the product in place: a resolve of a row
+stack holds its result and numpy's buffer for the broadcast offset, not a
+second block for an out-of-place sum.
 
 At n <= 3 a resolve costs its numpy calls, not its flops, so the kernels use
 the cheapest entry points with the same bits: every product is the method
@@ -515,6 +517,8 @@ class AffineConstraint(MonotoneOperator):
 
     def __post_init__(self):
         E = _finite_array(self.E, 2, "E")
+        if E.shape[1] == 0:
+            raise DimensionMismatch(f"E must have at least one coordinate, got shape {E.shape}")
         e = _finite_array(self.e, 1, "e")
         if e.shape[0] != E.shape[0]:
             raise DimensionMismatch(
@@ -536,7 +540,9 @@ class AffineConstraint(MonotoneOperator):
         return self.E.shape[1]
 
     def _resolve(self, tau, X):
-        return X.dot(self._projector.T) + self._offset
+        R = X.dot(self._projector.T)
+        R += self._offset
+        return R
 
 
 class Inverse(MonotoneOperator):
@@ -593,6 +599,8 @@ class Block2x2(MonotoneOperator):
 
     def __post_init__(self):
         C = _finite_array(self.C, 2, "C")
+        if 0 in C.shape:
+            raise DimensionMismatch(f"C must have at least one coordinate per block, got shape {C.shape}")
         object.__setattr__(self, "C", C)
         # C is frozen, so the coupling is decided once, not on every resolve
         object.__setattr__(self, "_coupled", bool(np.any(C)))

@@ -137,6 +137,36 @@ def test_classify_resolvent_overrelaxed_nonmonotone_is_an_error_exit(tmp_path, c
 
 
 # ---------------------------------------------------------------------------
+# check-equivalence compares the unrelaxed map only
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+def test_compare_formulations_refuses_a_relaxed_problem(gamma):
+    problem = dl.DrsProblem(dl.L1(1.0), dl.Quadratic([[1.0]], [-1.0]), gamma=gamma)
+    with pytest.raises(ValueError, match=f"relaxed legs are not implemented.*got gamma = {gamma}$"):
+        dl.compare_formulations(problem, [5.0])
+
+
+def test_check_equivalence_with_gamma_is_one_error_line(tmp_path, capsys):
+    code = main(["check-equivalence", "--problem", write_doc(tmp_path, dict(L1_QUAD, z0=[5.0], gamma=0.5))])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_ERROR, "")
+    assert captured.err == (
+        "error: relaxed legs are not implemented: the formulations are compared at gamma = 1, "
+        "got gamma = 0.5\n"
+    )
+
+
+def test_check_equivalence_at_gamma_one_matches_the_default(tmp_path, capsys):
+    runs = []
+    for doc in (dict(L1_QUAD, z0=[5.0]), dict(L1_QUAD, z0=[5.0], gamma=1.0)):
+        code = main(["check-equivalence", "--problem", write_doc(tmp_path, doc)])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0][0] == runs[1][0] == EXIT_OK
+    assert runs[0][1] == runs[1][1]
+
+
+# ---------------------------------------------------------------------------
 # tau = inf is not a step size
 
 ZERO_ZERO = {"A": {"type": "zero"}, "B": {"type": "zero"}, "dim": 1, "z0": [1.0]}

@@ -4,7 +4,9 @@
 ``_BLOCK_ROWS`` graph points and stops at the first block that holds a
 witness.  ``helpers.one_shot_sample_cycles`` is the search as it was
 before: every trial of a cycle length at once.  Both must return the same
-witness, or both None, with equal bits.
+witness, or both None, with equal bits.  A block holds three working
+blocks of graph points, and a coupled ``Block2x2`` samples on contiguous
+copies of its columns with the bits of sampling on strided views.
 """
 
 import tracemalloc
@@ -22,7 +24,32 @@ from helpers import one_shot_sample_cycles, operator_zoo, rotation
 # A rotation-like generator just past the 3-cycle threshold tan(pi/3): about
 # one 3-cycle in 1,200 violates, so most of its witnesses sit past the first block.
 NEAR_THRESHOLD = ("near_threshold", dl.LinearRelation([[1.0, -1.735], [1.735, 1.0]]), 2)
-OPERATORS = operator_zoo() + [NEAR_THRESHOLD]
+# a coupled block inside a coupled block: the recursion samples column copies of column copies
+NESTED = (
+    "nested_block2x2",
+    dl.Block2x2(
+        dl.Block2x2(dl.ScaledIdentity(0.5), dl.LinearRelation([[1.0, -2.0], [2.0, 0.5]]), [[1.0], [-0.5]]),
+        dl.L1(0.7),
+        [[0.3, -1.2, 0.8], [-0.6, 0.0, 1.5]],
+    ),
+    5,
+)
+OPERATORS = operator_zoo() + [NEAR_THRESHOLD, NESTED]
+
+
+def strided_graph_points(op, W):
+    """``cyclic._graph_points`` as it was before it copied columns: each side
+    sampled and coupled in place on a strided column view of W, and the
+    points joined by ``np.hstack``."""
+    if isinstance(op, dl.Block2x2):
+        n1 = op.n1
+        P1, U1 = strided_graph_points(op.A, W[:, :n1])
+        P2, U2 = strided_graph_points(op.B, W[:, n1:])
+        U1 -= P2 @ op.C
+        U2 += P1 @ op.C.T
+        return np.hstack([P1, P2]), W
+    P = dl.resolve(op, 1.0, W)
+    return P, np.subtract(W, P, out=W)
 
 
 def assert_same_witness(got, ref):
@@ -113,3 +140,31 @@ def test_search_memory_does_not_grow_with_trials():
     # one block of 2048 graph points in R^3 and its temporaries; the one-shot
     # search held about 82 MB here
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("entry", OPERATORS, ids=[name for name, _, _ in OPERATORS])
+def test_column_copies_keep_the_bits_of_strided_views(entry):
+    _, op, dim = entry
+    W = np.random.default_rng(3).standard_normal((_BLOCK_ROWS - 1, dim))
+    W[:2] = [[0.0], [-0.0]]  # signed zeros keep their sign through the copies
+    P, U = cyclic._graph_points(op, W.copy())
+    P_ref, U_ref = strided_graph_points(op, W.copy())
+    assert (P.tobytes(), U.tobytes()) == (P_ref.tobytes(), U_ref.tobytes())
+
+
+D4 = [(name, op) for name, op, dim in operator_zoo() if dim == 4]
+
+
+@pytest.mark.parametrize("op", [op for _, op in D4], ids=[name for name, _ in D4])
+def test_a_block_of_cycles_holds_three_working_blocks(op):
+    # the draw (which the values overwrite), the points and the cyclic
+    # differences; a resolve's own temporaries and numpy's buffers must fit
+    # in the other half block
+    dl.sample_cycles(op, 2, 4, 0, dim=4)  # the kept resolvent matrix is not a block
+    tracemalloc.start()
+    try:
+        dl.sample_cycles(op, 2, _BLOCK_ROWS // 2, 1, dim=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * _BLOCK_ROWS * 4 * 8

@@ -203,8 +203,6 @@ def test_library_callers_get_the_cli_checks(build, text):
     assert str(info.value) == text
 
 
-# an operator of dimension 0, which Block2x2 still builds from an empty coupling
-EMPTY_BLOCKS = dl.Block2x2(dl.Zero(), dl.Zero(), np.zeros((0, 0)))
 EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.zeros((0, 1)), "residual": []}
 
 
@@ -238,10 +236,14 @@ EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.z
      "M must have at least one coordinate, got shape (0, 0)"),
     (lambda: dl.Box([], []), DimensionMismatch, "lo must have at least one coordinate, got shape (0,)"),
     (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=0), ValueError, "dim must be at least 1, got 0"),
-    (lambda: dl.sample_cycles(EMPTY_BLOCKS, 3, 10, 0), ValueError, "dim must be at least 1, got 0"),
     (lambda: dl.drs_map_matrix(problem(), dim=0), ValueError, "dim must be at least 1, got 0"),
-    (lambda: dl.drs_map_matrix(dl.DrsProblem(EMPTY_BLOCKS, dl.Zero())), ValueError,
-     "dim must be at least 1, got 0"),
+    # no operator acts on R^0, nor has a block that does
+    (lambda: dl.Block2x2(dl.Zero(), dl.Zero(), np.zeros((0, 0))), DimensionMismatch,
+     "C must have at least one coordinate per block, got shape (0, 0)"),
+    (lambda: dl.Block2x2(dl.Zero(), dl.Zero(), np.zeros((0, 2))), DimensionMismatch,
+     "C must have at least one coordinate per block, got shape (0, 2)"),
+    (lambda: dl.AffineConstraint(np.zeros((0, 0)), np.zeros(0)), DimensionMismatch,
+     "E must have at least one coordinate, got shape (0, 0)"),
 ])
 def test_a_record_or_a_problem_without_data_is_refused(build, error, text):
     with pytest.raises((ValueError, DrslabError)) as info:
