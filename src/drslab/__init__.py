@@ -32,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     DrslabError,
     LengthMismatch,
-    NonInvertibleBlock,
     NonMonotone,
     NotLinear,
     NotSymmetricPD,
@@ -65,14 +64,13 @@ from .operators import (
 #: Each name of the analysis half, and each of its modules, to its home module.
 _LAZY = {name: home for home, names in {
     "blocks": "BlockSystem EliminationPair coupling_gram elimination_pair lifted_blocks"
-              " moreau_complement_form reduced_resolvent_direct reduced_resolvent_fukushima"
-              " reduced_resolvent_via_drs",
+              " reduced_resolvent_direct reduced_resolvent_fukushima reduced_resolvent_via_drs",
     "cyclic": "INCONCLUSIVE NOT_PROXIMAL PROXIMAL CycleWitness ResolventClassification"
               " classify_resolvent cycle_sum drs_map_matrix inverse_preserves_cyclic"
               " sample_cycles skew_three_cycle",
     "equivalence": "LIFTED RECURSION REDUCED REDUCED_DIRECT REDUCED_FALLBACK EquivalenceReport"
                    " compare_formulations formulation_trajectories",
-    "ppa": "PpaState PpaSystem initial_state ppa_inclusion_residual ppa_step reduce_state",
+    "ppa": "PpaState PpaSystem initial_state ppa_inclusion_residual ppa_step",
 }.items() for name in (home, *names.split())}
 
 

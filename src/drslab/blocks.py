@@ -21,6 +21,11 @@ and can be evaluated three independent ways:
 
 All three must agree to near machine precision; the test suite holds
 them to 1e-10.
+
+L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)`` and the
+3n x 3n lifted operator of ``ppa`` is ``Block2x2(L, Zero(), [I I])``; both are
+made dense by ``linear_matrix``, which raises NotLinear for a block that is
+not linear or is singular.
 """
 
 from __future__ import annotations
@@ -30,10 +35,13 @@ import math
 import numpy as np
 
 from .drs import splitting_pass
-from .errors import DimensionMismatch, NonInvertibleBlock, SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 from .operators import (
+    Block2x2,
     Document,
+    Inverse,
     MonotoneOperator,
+    Zero,
     _check_tau,
     _frozen_array,
     _integer,
@@ -78,11 +86,10 @@ class BlockSystem(Document):
         return D @ D.T
 
     def lifted_matrix(self):
-        """Dense 3n x 3n lifted operator [[L, -E^T], [E, 0]], E = [I I], from
-        ``lifted_blocks``' L; needs invertible linear blocks."""
-        L, _ = lifted_blocks(self)
+        """Dense 3n x 3n lifted operator [[L, -E^T], [E, 0]], E = [I I]: the
+        matrix of ``Block2x2(L, Zero(), E)``; needs invertible linear blocks."""
         E = np.hstack([np.eye(self.n)] * 2)
-        return np.block([[L, -E.T], [E, np.zeros((self.n, self.n))]])
+        return linear_matrix(Block2x2(_lifted_operator(self), Zero(), E), 3 * self.n)
 
 
 class EliminationPair(Document):
@@ -107,23 +114,19 @@ class EliminationPair(Document):
         object.__setattr__(self, "R2", R2)
 
 
-def lifted_blocks(sys):
-    """Assemble the dense (L, K) pair for an invertible linear system; the
-    only place the two blocks are inverted.
+def _lifted_operator(sys):
+    """L = [[B^{-1}, -tau*I], [tau*I, A^{-1}]] as a catalog operator."""
+    return Block2x2(Inverse(sys.B), Inverse(sys.A), sys.tau * np.eye(sys.n))
 
-    Raises NotLinear when a block is not linear-representable and
-    NonInvertibleBlock when a block matrix is singular.
+
+def lifted_blocks(sys):
+    """The dense (L, K) pair of an invertible linear system.
+
+    Raises NotLinear when a block is not linear-representable or singular.
     """
-    n = sys.n
-    MA = linear_matrix(sys.A, n)
-    MB = linear_matrix(sys.B, n)
-    singular = "block {} is singular; it has no dense inverse"
-    inv_a = _linalg(np.linalg.inv, NonInvertibleBlock, singular.format("A"), MA)
-    inv_b = _linalg(np.linalg.inv, NonInvertibleBlock, singular.format("B"), MB)
-    eye = np.eye(n)
-    L = np.block([[inv_b, -sys.tau * eye], [sys.tau * eye, inv_a]])
-    K = sys.root_tau * np.hstack([eye, eye])
-    return L, K
+    eye = np.eye(sys.n)
+    L = linear_matrix(_lifted_operator(sys), 2 * sys.n)
+    return L, sys.root_tau * np.hstack([eye, eye])
 
 
 def _gram(L, K):
@@ -152,7 +155,7 @@ def reduced_resolvent_direct(sys, v):
     """Evaluate the reduced resolvent by dense assembly.
 
     Solves (I + K L^{-1} K^T) v+ = v.  Requires both blocks to be
-    invertible linear maps; raises NonInvertibleBlock otherwise.
+    invertible linear maps; raises NotLinear otherwise.
     """
     V = _points(v, "v", dim=sys.n)
     G = np.eye(sys.n) + coupling_gram(sys)
@@ -171,17 +174,6 @@ def reduced_resolvent_fukushima(sys, v):
     G = L + K.T @ K
     Y = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", G, K.T @ V.T)
     return V - (K @ Y).T
-
-
-def moreau_complement_form(sys, v):
-    """The complementary resolvent v - reduced_resolvent_via_drs(sys, v).
-
-    Splitting v into resolvent plus complement is exact by construction;
-    on linear systems the complement independently satisfies the
-    inclusion v - r in (K L^{-1} K^T)^{-1} (r) checked via dense algebra.
-    """
-    V = _points(v, "v", dim=sys.n)
-    return V - reduced_resolvent_via_drs(sys, V)
 
 
 def elimination_pair(sys):

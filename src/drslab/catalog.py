@@ -37,12 +37,11 @@ def rotation_matrix():
     return np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def random_monotone_matrix(rng, n, monotone_floor=0.2, skew_scale=1.0):
+def random_monotone_matrix(rng, n):
     """A random monotone matrix: PD symmetric part plus a skew part."""
-    sym = random_spd_matrix(rng, n, monotone_floor)
+    sym = random_spd_matrix(rng, n, 0.2)
     H = rng.standard_normal((n, n))
-    skew = 0.5 * skew_scale * (H - H.T)
-    return sym + skew
+    return sym + 0.5 * (H - H.T)
 
 
 def random_spd_matrix(rng, n, floor=0.3):

@@ -34,7 +34,7 @@ from .drs import (
 )
 from .equivalence import compare_formulations
 from .errors import DrslabError
-from .operators import _numbers, moreau_residual, operator_from_dict
+from .operators import _integer, _numbers, _scalar, moreau_residual, operator_from_dict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -72,22 +72,11 @@ def _operator(doc, key):
         raise CliError(f"bad {key!r} operator: {exc}") from exc
 
 
-def _number(cast, flag_value, doc, key, default):
-    """The flag, else the file's key, else the default, through cast; an int
-    cast takes only integral numbers, never a truncated fraction, and no
-    cast takes a JSON boolean or string."""
+def _number(gate, flag_value, doc, key, default):
+    """The flag, else the file's key, else the default, through the package's
+    number gate ``gate``, ``_scalar`` or ``_integer``."""
     value = flag_value if flag_value is not None else doc.get(key, default)
-    if isinstance(value, (bool, str)):
-        raise CliError(f"{key!r} must be a number, got {json.dumps(value)}")
-    if cast is int and isinstance(value, float) and not value.is_integer():
-        raise CliError(f"{key!r} must be an integer, got {json.dumps(value)}")
-    try:
-        return cast(value)
-    except TypeError:  # null, a list or an object
-        raise CliError(f"{key!r} must be a number, got {json.dumps(value)}") from None
-    except OverflowError:  # an int past the float range, not echoed: it may be huge
-        message = f"{key!r} must be a number in the float range, got a larger integer"
-        raise CliError(message) from None
+    return gate(value, key)
 
 
 def _vector(doc, key):
@@ -95,20 +84,22 @@ def _vector(doc, key):
     return np.atleast_1d(_numbers(doc[key], key))
 
 
-#: Each problem setting: its document key, cast and flag attribute.
-_SETTINGS = (("tau", float, "tau"), ("gamma", float, "gamma"), ("max_iters", int, "iters"),
-             ("stop_tol", float, "stop_tol"), ("seed", int, "seed"))
+#: Each problem setting: its document key and flag attribute.
+_SETTINGS = (("tau", "tau"), ("gamma", "gamma"), ("max_iters", "iters"),
+             ("stop_tol", "stop_tol"), ("seed", "seed"))
 
 
 def _build_problem(args, doc):
     """The problem of the file's operators and of the settings given as a flag
-    or a document key; DrsProblem's defaults fill in the others."""
+    or a document key, which DrsProblem gates; its defaults fill in the others."""
     A, B = _operator(doc, "A"), _operator(doc, "B")
     settings = {}
-    for key, cast, flag in _SETTINGS:
+    for key, flag in _SETTINGS:
         flag_value = getattr(args, flag, None)
-        if flag_value is not None or key in doc:
-            settings[key] = _number(cast, flag_value, doc, key, None)
+        if flag_value is not None:
+            settings[key] = flag_value
+        elif key in doc:
+            settings[key] = doc[key]
     return DrsProblem(A, B, **settings)
 
 
@@ -118,7 +109,7 @@ def _problem_dim(problem, doc):
     if problem.dim is not None:
         return problem.dim
     if "dim" in doc:
-        return _number(int, None, doc, "dim", None)
+        return _number(_integer, None, doc, "dim", None)
     raise CliError("dimension cannot be inferred; add a 'dim' or 'z0' key")
 
 
@@ -193,8 +184,8 @@ def cmd_check_cycle(args):
     doc = _load_document(args.problem)
     key = "op" if "op" in doc else "A"
     op = _operator(doc, key)
-    dim = None if doc.get("dim") is None else _number(int, None, doc, "dim", None)
-    seed = _number(int, args.seed, doc, "seed", 0)
+    dim = None if doc.get("dim") is None else _number(_integer, None, doc, "dim", None)
+    seed = _number(_integer, args.seed, doc, "seed", 0)
     witness = sample_cycles(op, args.n_max, args.trials, seed, dim=dim)
     payload = {
         "n_max": args.n_max,
@@ -218,7 +209,7 @@ def cmd_witness_skew(args):
     if C.ndim != 2:
         raise CliError("'C' must be a matrix")
     n2, n1 = C.shape
-    rng = np.random.default_rng(_number(int, args.seed, doc, "seed", 0))
+    rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
     if "a1" in doc:
         a1 = _vector(doc, "a1")
     else:
@@ -257,11 +248,11 @@ def cmd_moreau_check(args):
         raise CliError("moreau-check needs an 'op' or 'A'/'B' operator")
     if args.trials < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
-    tau = _number(float, args.tau, doc, "tau", 1.0)
-    rng = np.random.default_rng(_number(int, args.seed, doc, "seed", 0))
+    tau = _number(_scalar, args.tau, doc, "tau", 1.0)
+    rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
     per_op = {}
     for key, op in named:
-        d = op.dim if op.dim is not None else _number(int, None, doc, "dim", 1)
+        d = op.dim if op.dim is not None else _number(_integer, None, doc, "dim", 1)
         residuals = [moreau_residual(op, tau, rng.standard_normal(d)) for _ in range(args.trials)]
         per_op[key] = max(residuals)
     worst = max(per_op.values())

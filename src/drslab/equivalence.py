@@ -6,9 +6,10 @@ z-trajectory.  ``compare_formulations`` runs all three from one start
 and reports the largest pairwise deviation over the whole trajectory.
 
 The reduced leg is evaluated by dense assembly whenever both blocks are
-invertible linear maps (a genuinely independent computation); otherwise
-it falls back to the rescaled one-step evaluation and the report says
-so in ``reduced_path``.
+invertible linear maps (a genuinely independent computation, from
+``linear_matrix`` of the catalog operator L); otherwise the assembly raises
+NotLinear or SingularSystem, the leg falls back to the rescaled one-step
+evaluation and the report says so in ``reduced_path``.
 """
 
 from __future__ import annotations

@@ -25,10 +25,6 @@ class UnsupportedComposition(DrslabError):
     """Coupled-block resolvent needs linear-representable blocks."""
 
 
-class NonInvertibleBlock(DrslabError):
-    """A block required in inverted form is singular."""
-
-
 class NotLinear(DrslabError):
     """Operator is not representable as a single dense matrix."""
 

@@ -88,7 +88,3 @@ def ppa_inclusion_residual(sys, prev, nxt):
     r3 = _norm(nxt.z - (prev.z - tau * (nxt.u + nxt.s)))
     return max(r1, r2, r3)
 
-
-def reduce_state(sys, state):
-    """Project the lifted state to the reduced coordinate v = z / sqrt(tau)."""
-    return _points(state.z, "state.z", dim=sys.n) / sys.root_tau

@@ -203,7 +203,7 @@ def test_criterion_7_moreau_and_complement_identities(catalog):
         sys = dl.BlockSystem(entry.problem.A, entry.problem.B, entry.problem.tau, entry.dim)
         try:
             dl.lifted_blocks(sys)
-        except dl.NonInvertibleBlock:
+        except dl.NotLinear:  # a singular block has no dense inverse
             continue
         V = 2.0 * rng.standard_normal((100, entry.dim))
         gap = np.max(

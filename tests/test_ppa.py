@@ -178,14 +178,9 @@ def test_lifted_matrix_structure():
 # reduction to the one-variable coordinate
 
 
-def test_reduce_state_scales_z():
-    sys = dl.PpaSystem(dl.Zero(), dl.Zero(), 4.0, 2)
-    state = dl.PpaState([9.0, 9.0], [9.0, 9.0], [2.0, 0.0])
-    assert np.array_equal(dl.reduce_state(sys, state), [1.0, 0.0])
-
-
 def test_reduction_commutes_with_steps():
-    # reduce(ppa_step(b)) equals the reduced resolvent applied to reduce(b)
+    # reduce(ppa_step(b)) equals the reduced resolvent applied to reduce(b),
+    # where reduce(b) = z / sqrt(tau) is the reduced coordinate of b
     rng = np.random.default_rng(229)
     pairs = [
         (dl.L1(1.0), dl.Quadratic(np.array([[1.0]]), np.array([-1.0])), 1.0, 1),
@@ -197,8 +192,8 @@ def test_reduction_commutes_with_steps():
         block = dl.BlockSystem(A, B, tau, n)
         for _ in range(35):
             state = dl.initial_state(lifted, 2.0 * rng.standard_normal(n))
-            left = dl.reduce_state(lifted, dl.ppa_step(lifted, state))
-            right = dl.reduced_resolvent_via_drs(block, dl.reduce_state(lifted, state))
+            left = dl.ppa_step(lifted, state).z / lifted.root_tau
+            right = dl.reduced_resolvent_via_drs(block, state.z / lifted.root_tau)
             assert np.max(np.abs(left - right)) <= 1e-10
 
 

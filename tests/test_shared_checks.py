@@ -91,20 +91,40 @@ NEARLY_SINGULAR = np.diag([1.0, -(2.0**-40)])
 # K = [I I]; an L of -K^T K makes L + K^T K the zero matrix
 K_SUM = np.hstack([np.eye(2)] * 2)
 
+# linear_matrix's text for an Inverse of a singular matrix, which every dense
+# path of blocks reaches through the catalog operator L
+SINGULAR_INVERSE = "inverse of a singular matrix is a relation, not a map"
+
+
+def _zero_block(side):
+    """A system whose A or B block is Zero, which has no dense inverse."""
+    one = dl.ScaledIdentity(1.0)
+    A, B = (dl.Zero(), one) if side == "A" else (one, dl.Zero())
+    return dl.BlockSystem(A, B, 1.0, 2)
+
 
 SITES = {
     "resolvent_matrix": (
         lambda: dl.resolve(dl.LinearRelation(NEARLY_SINGULAR), 2.0**40, np.ones(2)),
         dl.SingularSystem, "I + tau*M is singular for tau=1099511627776.0", None),
     "linear_matrix_inverse": (
-        lambda: linear_matrix(dl.Inverse(dl.Zero()), 2),
-        dl.NotLinear, "inverse of a singular matrix is a relation, not a map", None),
+        lambda: linear_matrix(dl.Inverse(dl.Zero()), 2), dl.NotLinear, SINGULAR_INVERSE, None),
     "lifted_blocks_A": (
-        lambda: dl.lifted_blocks(dl.BlockSystem(dl.Zero(), dl.ScaledIdentity(1.0), 1.0, 2)),
-        dl.NonInvertibleBlock, "block A is singular; it has no dense inverse", None),
+        lambda: dl.lifted_blocks(_zero_block("A")), dl.NotLinear, SINGULAR_INVERSE, None),
     "lifted_blocks_B": (
-        lambda: dl.lifted_blocks(dl.BlockSystem(dl.ScaledIdentity(1.0), dl.Zero(), 1.0, 2)),
-        dl.NonInvertibleBlock, "block B is singular; it has no dense inverse", None),
+        lambda: dl.lifted_blocks(_zero_block("B")), dl.NotLinear, SINGULAR_INVERSE, None),
+    "lifted_matrix": (
+        lambda: _zero_block("A").lifted_matrix(), dl.NotLinear, SINGULAR_INVERSE, None),
+    "gram_zero_block": (
+        lambda: dl.coupling_gram(_zero_block("B")), dl.NotLinear, SINGULAR_INVERSE, None),
+    "reduced_direct_zero_block": (
+        lambda: dl.reduced_resolvent_direct(_zero_block("A"), np.ones(2)),
+        dl.NotLinear, SINGULAR_INVERSE, None),
+    "reduced_fukushima_zero_block": (
+        lambda: dl.reduced_resolvent_fukushima(_zero_block("B"), np.ones(2)),
+        dl.NotLinear, SINGULAR_INVERSE, None),
+    "elimination_pair_zero_block": (
+        lambda: dl.elimination_pair(_zero_block("A")), dl.NotLinear, SINGULAR_INVERSE, None),
     "gram": (
         lambda: dl.coupling_gram(_quarter_turns()),
         dl.SingularSystem, "lifted block matrix L is singular", None),

@@ -1,8 +1,8 @@
 """One system type and one lifted-block assembly.
 
 ``PpaSystem`` is ``BlockSystem``, and the dense lifted operator, the
-coupling Gram matrix and the elimination pair all come from the blocks
-inverted once in ``lifted_blocks``.  Each is held to an in-test reference
+coupling Gram matrix and the elimination pair all come from
+``linear_matrix`` of the catalog operator L built in ``blocks``.  Each is held to an in-test reference
 assembly with exact equality, so sharing the assembly changes no bit.
 """
 
@@ -74,8 +74,8 @@ def test_shared_assembly_matches_reference_exactly(A, B, tau, n):
 
 
 @pytest.mark.parametrize("name", SINGULAR)
-def test_lifted_matrix_singular_block_raises_non_invertible(catalog_map, name):
+def test_lifted_matrix_singular_block_raises_not_linear(catalog_map, name):
     entry = catalog_map[name]
     system = dl.PpaSystem(entry.problem.A, entry.problem.B, entry.problem.tau, entry.dim)
-    with pytest.raises(dl.NonInvertibleBlock):
+    with pytest.raises(dl.NotLinear, match="^inverse of a singular matrix is a relation, not a map$"):
         system.lifted_matrix()

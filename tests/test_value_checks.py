@@ -169,7 +169,6 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.initial_state(system(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
     (lambda: dl.compare_formulations(problem(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
     (lambda: dl.reduced_resolvent_via_drs(system(), ["1"]), "'v' must hold numbers, got [\"1\"]"),
-    (lambda: dl.moreau_complement_form(system(), ["1"]), "'v' must hold numbers, got [\"1\"]"),
     (lambda: dl.inverse_preserves_cyclic([["2"]]), "'M' must hold numbers, got [[\"2\"]]"),
     (lambda: dl.symmetric_part([[1.0, None]]), "'M' must hold numbers, got [[1.0, null]]"),
     # counts and tolerances pass _integer and _scalar
@@ -270,7 +269,7 @@ def test_a_matrix_z0_is_one_error_line_on_every_command(tmp_path, command):
     ({"A": {"type": "zero"}, "B": {"type": "zero"}, "z0": [10**400]},
      "error: 'z0' must hold numbers in the float range, got a larger integer\n"),
     ({"A": {"type": "zero"}, "B": {"type": "zero"}, "z0": [5.0], "tau": 10**400},
-     "error: 'tau' must be a number in the float range, got a larger integer\n"),
+     "error: 'tau' must hold numbers in the float range, got a larger integer\n"),
 ])
 def test_an_integer_past_the_float_range_is_one_error_line(tmp_path, doc, text):
     assert run_cli(tmp_path, "run-drs", doc) == (EXIT_ERROR, "", text)
