@@ -38,6 +38,10 @@ print(f"  found a cycle of length {found.n} with sum {found.cycle_sum:.4f}")
 print("  (two-point cycles cannot violate, and indeed "
       f"the witness needs {found.n} >= 3 points)")
 
-print("\ninverting a symmetric PD matrix preserves cyclic monotonicity:")
+print("\nthe inverse of a gradient is a gradient (conjugate duality):")
 M = np.array([[2.0, 1.0], [1.0, 2.0]])
-print(f"  M = {M.tolist()}   inverse stays symmetric PD: {dl.inverse_preserves_cyclic(M)}")
+inverse = dl.Inverse(dl.Quadratic(M, np.zeros(2)))
+M_inv = dl.linear_matrix(inverse, 2)
+print(f"  M = {M.tolist()}   Inverse(Quadratic(M, 0)) = {np.round(3.0 * M_inv, 12).tolist()} / 3")
+print(f"  a subdifferential: {inverse.is_subdifferential}   "
+      f"witness: {dl.sample_cycles(inverse, n_max=5, trials=5000, seed=0)}")

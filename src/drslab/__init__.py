@@ -34,7 +34,6 @@ from .errors import (
     LengthMismatch,
     NonMonotone,
     NotLinear,
-    NotSymmetricPD,
     SingularMatrix,
     SingularSystem,
     UnsupportedComposition,
@@ -66,8 +65,7 @@ _LAZY = {name: home for home, names in {
     "blocks": "BlockSystem EliminationPair coupling_gram elimination_pair lifted_blocks"
               " reduced_resolvent_direct reduced_resolvent_fukushima reduced_resolvent_via_drs",
     "cyclic": "INCONCLUSIVE NOT_PROXIMAL PROXIMAL CycleWitness ResolventClassification"
-              " classify_resolvent cycle_sum drs_map_matrix inverse_preserves_cyclic"
-              " sample_cycles skew_three_cycle",
+              " classify_resolvent cycle_sum drs_map_matrix sample_cycles skew_three_cycle",
     "equivalence": "LIFTED RECURSION REDUCED REDUCED_DIRECT REDUCED_FALLBACK EquivalenceReport"
                    " compare_formulations formulation_trajectories",
     "ppa": "PpaState PpaSystem initial_state ppa_inclusion_residual ppa_step",

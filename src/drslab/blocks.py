@@ -20,7 +20,9 @@ and can be evaluated three independent ways:
   path by a Woodbury rearrangement.  Same invertibility caveat.
 
 All three must agree to near machine precision; the test suite holds
-them to 1e-10.
+them to 1e-10.  The reduced leg of ``equivalence.formulation_trajectories``
+iterates the direct kernel or, where it cannot be assembled, the one-step
+kernel: the very functions the first two paths apply.
 
 L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)`` and the
 3n x 3n lifted operator of ``ppa`` is ``Block2x2(L, Zero(), [I I])``; both are
@@ -31,10 +33,11 @@ not linear or is singular.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .drs import splitting_pass
+from .drs import _splitting_rows
 from .errors import DimensionMismatch, SingularSystem
 from .operators import (
     Block2x2,
@@ -139,6 +142,17 @@ def coupling_gram(sys):
     return _gram(*lifted_blocks(sys))
 
 
+def _drs_kernel(sys):
+    """v -> one unchecked splitting step at z = sqrt(tau) * v, rescaled back."""
+    A, B, tau, rt = sys.A, sys.B, sys.tau, sys.root_tau
+    return lambda V: _splitting_rows(A, B, tau, rt * V)[0] / rt
+
+
+def _direct_kernel(sys):
+    """v -> (I + K L^{-1} K^T)^{-1} v, assembled once; raises NotLinear or SingularSystem."""
+    return partial(np.linalg.solve, np.eye(sys.n) + coupling_gram(sys))
+
+
 def reduced_resolvent_via_drs(sys, v):
     """Evaluate the reduced resolvent through one splitting step.
 
@@ -146,9 +160,7 @@ def reduced_resolvent_via_drs(sys, v):
     rescales back.  This is the general-purpose path: it only needs the
     resolvents of A and B.
     """
-    Z = sys.root_tau * _points(v, "v", dim=sys.n)
-    Z_next, _, _ = splitting_pass(sys.A, sys.B, sys.tau, Z)
-    return Z_next / sys.root_tau
+    return _drs_kernel(sys)(_points(v, "v", dim=sys.n))
 
 
 def reduced_resolvent_direct(sys, v):
@@ -158,8 +170,7 @@ def reduced_resolvent_direct(sys, v):
     invertible linear maps; raises NotLinear otherwise.
     """
     V = _points(v, "v", dim=sys.n)
-    G = np.eye(sys.n) + coupling_gram(sys)
-    return _linalg(np.linalg.solve, SingularSystem, "I + K L^{-1} K^T is singular", G, V.T).T
+    return _linalg(_direct_kernel(sys), SingularSystem, "I + K L^{-1} K^T is singular", V.T).T
 
 
 def reduced_resolvent_fukushima(sys, v):

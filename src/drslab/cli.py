@@ -276,17 +276,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, iters_help, tau=True):
+    def common(p, iters_help, tau=True, seed=True):
         p.add_argument("--problem", required=True, help="path to the problem JSON file")
         if tau:
             p.add_argument("--tau", type=float, default=None, help="step size (overrides the file)")
-        p.add_argument("--seed", type=int, default=None, help="seed for any randomness (default 0)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for any randomness (default 0)")
         p.add_argument("--out", default=None, help="write machine output here instead of stdout")
         if iters_help:
             p.add_argument("--iters", type=int, default=None, help=iters_help)
 
     p = sub.add_parser("run-drs", help="iterate the splitting and export the trajectory")
-    common(p, "iteration cap")
+    common(p, "iteration cap", seed=False)  # run-drs draws nothing at random
     p.add_argument("--gamma", type=float, default=None, help="relaxation in (0, 2]")
     p.add_argument("--stop-tol", dest="stop_tol", type=float, default=None, help="stop tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="trajectory format")

@@ -32,7 +32,6 @@ from .errors import (
     DrslabError,
     LengthMismatch,
     NotLinear,
-    NotSymmetricPD,
     SingularMatrix,
     UnsupportedSampling,
     ZeroCoupling,
@@ -47,9 +46,9 @@ from .operators import (
     _linalg,
     _numbers,
     _points,
+    _same,
     _scalar,
     resolve,
-    symmetric_part,
 )
 
 #: A cycle sum above this is treated as a genuine violation.
@@ -116,7 +115,8 @@ class CycleWitness(Document):
 
 
 class ResolventClassification(Document):
-    """Classifier output: the recovered generator and a verdict."""
+    """Classifier output: the recovered generator, with the symmetry defect and
+    the verdict that ``classify_resolvent``'s rule gives for it, to the bit."""
 
     recovered_M: np.ndarray
     symmetry_defect: float
@@ -129,6 +129,20 @@ class ResolventClassification(Document):
         object.__setattr__(self, "symmetry_defect", defect)
         if self.verdict not in (PROXIMAL, NOT_PROXIMAL, INCONCLUSIVE):
             raise ValueError(f"unknown verdict {self.verdict!r}")
+        _check_square(M, "recovered_M")
+        own_defect, own_verdict = _symmetry_verdict(M)
+        if self.verdict != own_verdict or not _same(defect, own_defect):
+            raise ValueError(
+                f"symmetry_defect {defect!r} and verdict {self.verdict!r} disagree with "
+                f"recovered_M, whose defect is {own_defect!r} and verdict {own_verdict!r}"
+            )
+
+
+def _symmetry_verdict(M):
+    """(defect, verdict) of a generator M: the symmetry defect
+    ||M - M^T|| / max(1, ||M||) against the thresholds 1e-8 and 1e-6."""
+    defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
+    return defect, PROXIMAL if defect <= 1e-8 else NOT_PROXIMAL if defect > 1e-6 else INCONCLUSIVE
 
 
 def _cycle_arrays(points, values):
@@ -321,36 +335,4 @@ def classify_resolvent(T):
     T_inv = _linalg(np.linalg.inv, SingularMatrix, "resolvent matrix is singular", T)
     M = T_inv - np.eye(T.shape[0])
     _check_monotone(M, "recovered generator", tol=1e-8, floor=1.0)
-    defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
-    if defect <= 1e-8:
-        verdict = PROXIMAL
-    elif defect > 1e-6:
-        verdict = NOT_PROXIMAL
-    else:
-        verdict = INCONCLUSIVE
-    return ResolventClassification(M, defect, verdict)
-
-
-def inverse_preserves_cyclic(M):
-    """Check that inverting a symmetric PD matrix keeps it symmetric PD.
-
-    Raises NotSymmetricPD unless M is finite and symmetric to 1e-10
-    (relative) with strictly positive eigenvalues; returns True when M^{-1}
-    passes the same test at 1e-8.
-    """
-    M = _points(M, "M")
-    _check_square(M, "M")
-    if not np.all(np.isfinite(M)):  # a NaN would pass every test below
-        raise NotSymmetricPD("M has a NaN or infinite entry")
-    defect = float(np.linalg.norm(M - M.T))
-    if defect > 1e-10 * max(1.0, float(np.linalg.norm(M))):
-        raise NotSymmetricPD(f"M is not symmetric: defect {defect:.3e}")
-    lam = np.linalg.eigvalsh(symmetric_part(M))
-    if float(lam[0]) <= 0.0:
-        raise NotSymmetricPD(f"M is not positive definite: min eigenvalue {lam[0]:.3e}")
-    M_inv = np.linalg.inv(M)
-    inv_defect = float(np.linalg.norm(M_inv - M_inv.T))
-    if inv_defect > 1e-8 * max(1.0, float(np.linalg.norm(M_inv))):
-        return False
-    inv_lam = np.linalg.eigvalsh(symmetric_part(M_inv))
-    return float(inv_lam[0]) > 0.0
+    return ResolventClassification(M, *_symmetry_verdict(M))

@@ -191,12 +191,8 @@ class TrajectoryRecord(Document):
     def final_x(self):
         return _last_row(self.x)
 
-    def to_csv(self, target):
-        """Write rows as CSV with header k,z*,x*,w*,residual at full precision."""
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", newline="") as fh:
-                self.to_csv(fh)
-            return
+    def to_csv_string(self):
+        """The rows as CSV with header k,z*,x*,w*,residual at full precision."""
         n = self.z.shape[1]
         cols = (
             ["k"]
@@ -205,15 +201,12 @@ class TrajectoryRecord(Document):
             + [f"w{i}" for i in range(n)]
             + ["residual"]
         )
-        target.write(",".join(cols) + "\n")
+        buf = io.StringIO()
+        buf.write(",".join(cols) + "\n")
         for i in range(len(self)):
             vals = np.concatenate([self.z[i], self.x[i], self.w[i], [self.residual[i]]])
             row = [str(int(self.k[i]))] + [format(v, ".17g") for v in vals]
-            target.write(",".join(row) + "\n")
-
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
+            buf.write(",".join(row) + "\n")
         return buf.getvalue()
 
 

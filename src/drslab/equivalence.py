@@ -5,24 +5,24 @@ the reduced resolvent in v = z / sqrt(tau) coordinates realize the same
 z-trajectory.  ``compare_formulations`` runs all three from one start
 and reports the largest pairwise deviation over the whole trajectory.
 
-The reduced leg is evaluated by dense assembly whenever both blocks are
-invertible linear maps (a genuinely independent computation, from
-``linear_matrix`` of the catalog operator L); otherwise the assembly raises
-NotLinear or SingularSystem, the leg falls back to the rescaled one-step
-evaluation and the report says so in ``reduced_path``.
+The reduced leg iterates ``blocks``' direct kernel, the one
+``reduced_resolvent_direct`` applies, whenever both blocks are invertible
+linear maps (a genuinely independent computation, from ``linear_matrix`` of
+the catalog operator L); otherwise the assembly raises NotLinear or
+SingularSystem, the leg iterates the one-step kernel of
+``reduced_resolvent_via_drs`` and the report says so in ``reduced_path``.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
-from .blocks import BlockSystem, coupling_gram
+from .blocks import BlockSystem, _direct_kernel, _drs_kernel
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
-from .operators import Document, Inverse, _integer, _scalar
+from .operators import Document, Inverse, _integer, _same, _scalar
 from .ppa import _lifted_rows
 
 RECURSION = "recursion"
@@ -34,7 +34,8 @@ REDUCED_FALLBACK = "drs"
 
 
 class EquivalenceReport(Document):
-    """Pairwise trajectory deviations between the three formulations."""
+    """Pairwise trajectory deviations between the three formulations;
+    ``max_deviation`` must be the worst of ``pairwise``, to the bit."""
 
     max_deviation: float
     iters: int
@@ -50,6 +51,17 @@ class EquivalenceReport(Document):
             raise ValueError(f"pairwise must map pair names to numbers, got {self.pairwise!r}")
         pairwise = {pair: _scalar(dev, pair) for pair, dev in self.pairwise.items()}
         object.__setattr__(self, "pairwise", pairwise)
+        worst = _worst_deviation(pairwise.values())
+        if not _same(self.max_deviation, worst):
+            raise ValueError(
+                f"max_deviation {self.max_deviation!r} disagrees with the worst pairwise "
+                f"deviation {worst!r}"
+            )
+
+
+def _worst_deviation(devs):
+    """The largest deviation; NaN when any is not finite, or when there is none."""
+    return max(devs, default=math.nan) if all(math.isfinite(d) for d in devs) else math.nan
 
 
 def _trajectory(step, z0, iters):
@@ -88,15 +100,12 @@ def formulation_trajectories(problem, z0, iters):
     inv_a, inv_b = Inverse(A), Inverse(B)
     zl = _trajectory(lambda Z: _lifted_rows(inv_a, inv_b, tau, Z)[2], z0, iters)
 
-    # reduced form, iterated in v coordinates and scaled back to z; the
-    # fallback is blocks.reduced_resolvent_via_drs on the unchecked drs kernel
-    rt = system.root_tau
+    # reduced form, iterated in v coordinates and scaled back to z
     try:
-        step_matrix = np.eye(system.n) + coupling_gram(system)
-        reduced_path, reduced_step = REDUCED_DIRECT, partial(np.linalg.solve, step_matrix)
+        reduced_path, reduced_step = REDUCED_DIRECT, _direct_kernel(system)
     except DrslabError:
-        reduced_path = REDUCED_FALLBACK
-        reduced_step = lambda V: _splitting_rows(A, B, tau, rt * V)[0] / rt  # noqa: E731
+        reduced_path, reduced_step = REDUCED_FALLBACK, _drs_kernel(system)
+    rt = system.root_tau
     zr = rt * _trajectory(reduced_step, z0 / rt, iters)
     zr[0] = z0
 
@@ -116,10 +125,8 @@ def compare_formulations(problem, z0, iters=100):
         for b in names[i + 1 :]:
             dev = float(np.max(np.linalg.norm(trajs[a] - trajs[b], axis=1)))
             pairwise[f"{a}-{b}"] = dev
-    devs = pairwise.values()
-    worst = max(devs) if all(math.isfinite(d) for d in devs) else math.nan
     return EquivalenceReport(
-        max_deviation=worst,
+        max_deviation=_worst_deviation(pairwise.values()),
         iters=iters,
         reduced_path=reduced_path,
         pairwise=pairwise,

@@ -39,7 +39,3 @@ class UnsupportedSampling(DrslabError):
 
 class NonMonotone(DrslabError):
     """Monotonicity check failed: indefinite symmetric part."""
-
-
-class NotSymmetricPD(DrslabError):
-    """Matrix is not symmetric positive definite."""

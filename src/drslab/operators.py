@@ -149,6 +149,11 @@ def _integers(values, name):
     return arr.astype(int)
 
 
+def _same(a, b):
+    """a == b for two floats, with NaN equal to NaN."""
+    return a == b or (a != a and b != b)
+
+
 def _check_square(M, name):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")

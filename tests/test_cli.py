@@ -63,6 +63,22 @@ def test_run_drs_json_format(tmp_path, capsys):
     assert abs(payload["x"][-1][0]) <= 1e-8
 
 
+def test_run_drs_has_no_seed_flag_and_checks_the_document_seed(tmp_path, capsys):
+    # run-drs draws nothing at random, so --seed is a usage error
+    path = write_doc(tmp_path, dict(L1_QUAD, z0=[5.0]))
+    with pytest.raises(SystemExit) as info:
+        main(["run-drs", "--problem", path, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert captured.out == ""
+    code = main(["run-drs", "--problem", write_doc(tmp_path, dict(L1_QUAD, z0=[5.0], seed=-1))])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+    assert captured.out == ""
+
+
 def test_run_drs_exit_two_when_capped(tmp_path, capsys):
     path = write_doc(tmp_path, dict(IDENTITY_PAIR, z0=[8.0]))
     code = main(["run-drs", "--problem", path, "--iters", "3"])

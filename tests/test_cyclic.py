@@ -349,43 +349,39 @@ def test_classification_dict_form():
 
 
 # ---------------------------------------------------------------------------
-# symmetric PD inversion check
+# the inverse of a gradient is a gradient: Inverse(Quadratic(M, 0)) of a
+# symmetric positive definite M
 
 
-def test_inverse_preserves_cyclic_identity():
-    assert dl.inverse_preserves_cyclic(np.eye(4))
+def inverse_of_gradient(M):
+    """The matrix of Inverse(Quadratic(M, 0)), after checking that the inverse
+    is a subdifferential, is a symmetric monotone matrix itself (Quadratic
+    accepts it) and shows no cycle witness."""
+    n = M.shape[0]
+    inverse = dl.Inverse(dl.Quadratic(M, np.zeros(n)))
+    assert inverse.is_subdifferential
+    M_inv = dl.linear_matrix(inverse, n)
+    dl.Quadratic(M_inv, np.zeros(n))
+    assert dl.sample_cycles(inverse, 5, 500, 0) is None
+    return M_inv
 
 
-def test_inverse_preserves_cyclic_hand_example():
+def test_inverse_of_gradient_identity():
+    assert np.allclose(inverse_of_gradient(np.eye(4)), np.eye(4), atol=1e-15)
+
+
+def test_inverse_of_gradient_hand_example():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     expected_inv = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-    assert np.allclose(np.linalg.inv(M), expected_inv, atol=1e-15)
-    assert dl.inverse_preserves_cyclic(M)
+    assert np.allclose(inverse_of_gradient(M), expected_inv, atol=1e-15)
 
 
-def test_inverse_preserves_cyclic_random_spd():
+def test_inverse_of_gradient_random_spd():
     rng = np.random.default_rng(409)
     for _ in range(30):
         n = int(rng.integers(1, 7))
-        assert dl.inverse_preserves_cyclic(spd_matrix(rng, n))
-
-
-def test_inverse_preserves_cyclic_rejections():
-    with pytest.raises(dl.NotSymmetricPD):
-        dl.inverse_preserves_cyclic(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(dl.NotSymmetricPD):
-        dl.inverse_preserves_cyclic(np.diag([1.0, -1.0]))
-    with pytest.raises(dl.NotSymmetricPD):
-        dl.inverse_preserves_cyclic(np.diag([1.0, 0.0]))
-    with pytest.raises(dl.DimensionMismatch):
-        dl.inverse_preserves_cyclic(np.zeros((2, 3)))
-
-
-@pytest.mark.parametrize("M", [[[np.nan]], [[np.inf]], [[1.0, np.nan], [np.nan, 1.0]]])
-def test_inverse_preserves_cyclic_rejects_non_finite(M):
-    # a NaN passes the symmetry and eigenvalue tests, so it must be refused first
-    with np.errstate(all="ignore"), pytest.raises(dl.NotSymmetricPD, match="NaN or infinite"):
-        dl.inverse_preserves_cyclic(np.array(M))
+        M = spd_matrix(rng, n)
+        assert np.allclose(inverse_of_gradient(M) @ M, np.eye(n), atol=1e-10)
 
 
 @pytest.mark.parametrize("name, op, dim", operator_zoo(), ids=[z[0] for z in operator_zoo()])

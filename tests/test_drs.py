@@ -281,10 +281,3 @@ def test_csv_round_trips_floats_exactly():
         parsed = np.array([float(c) for c in cells[1:]])
         stored = np.concatenate([traj.z[i], traj.x[i], traj.w[i], [traj.residual[i]]])
         assert np.array_equal(parsed, stored)
-
-
-def test_csv_writes_to_path(tmp_path):
-    traj = dl.run(identity_problem(max_iters=2), [8.0])
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out)
-    assert out.read_text() == traj.to_csv_string()

@@ -68,31 +68,23 @@ def test_formulation_trajectories_validation():
 
 
 def test_reduced_leg_is_the_iterated_reduced_resolvent(catalog):
-    # bit for bit: the direct path iterates (I + K L^{-1} K^T)^{-1}, the
-    # fallback iterates the one-step evaluation, both in v = z / sqrt(tau)
+    # bit for bit: the direct path iterates the public reduced_resolvent_direct,
+    # the fallback reduced_resolvent_via_drs, both in v = z / sqrt(tau)
     rng = np.random.default_rng(77)
     for entry in catalog:
         problem, n = entry.problem, entry.dim
         system = dl.BlockSystem(problem.A, problem.B, problem.tau, n)
         try:
-            step_matrix = np.eye(n) + dl.coupling_gram(system)
-            expected_path = dl.REDUCED_DIRECT
-
-            def reduced_step(v):
-                return np.linalg.solve(step_matrix, v)
-
+            dl.coupling_gram(system)
+            expected_path, reduced_step = dl.REDUCED_DIRECT, dl.reduced_resolvent_direct
         except dl.DrslabError:
-            expected_path = dl.REDUCED_FALLBACK
-
-            def reduced_step(v):
-                return dl.reduced_resolvent_via_drs(system, v)
-
+            expected_path, reduced_step = dl.REDUCED_FALLBACK, dl.reduced_resolvent_via_drs
         z0 = 2.0 * rng.standard_normal(n)
         trajs, path = dl.formulation_trajectories(problem, z0, iters=40)
         assert path == expected_path, entry.name
         expected = [z0]
         v = z0 / system.root_tau
         for _ in range(40):
-            v = reduced_step(v)
+            v = reduced_step(system, v)
             expected.append(system.root_tau * v)
         assert np.array_equal(trajs[REDUCED], np.array(expected)), entry.name

@@ -169,7 +169,6 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.initial_state(system(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
     (lambda: dl.compare_formulations(problem(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
     (lambda: dl.reduced_resolvent_via_drs(system(), ["1"]), "'v' must hold numbers, got [\"1\"]"),
-    (lambda: dl.inverse_preserves_cyclic([["2"]]), "'M' must hold numbers, got [[\"2\"]]"),
     (lambda: dl.symmetric_part([[1.0, None]]), "'M' must hold numbers, got [[1.0, null]]"),
     # counts and tolerances pass _integer and _scalar
     (lambda: dl.compare_formulations(problem(), [1.0], True), "'iters' must hold numbers, got true"),
@@ -195,6 +194,12 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: ResolventClassification(np.eye(2), "0.5", PROXIMAL),
      "'symmetry_defect' must hold numbers, got \"0.5\""),
     (lambda: ResolventClassification(np.eye(2), 0.0, "proximal"), "unknown verdict 'proximal'"),
+    # a record's verdict and worst deviation are the ones its own data give
+    (lambda: ResolventClassification([[0.0, -1.0], [1.0, 0.0]], 0.0, PROXIMAL),
+     "symmetry_defect 0.0 and verdict 'Proximal' disagree with recovered_M, "
+     "whose defect is 2.0 and verdict 'NotProximal'"),
+    (lambda: report(reduced_path="direct", pairwise={"recursion-lifted": 5.0}),
+     "max_deviation 0.0 disagrees with the worst pairwise deviation 5.0"),
 ])
 def test_library_callers_get_the_cli_checks(build, text):
     with pytest.raises(ValueError) as info:
@@ -223,6 +228,9 @@ EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.z
     (lambda: record(k=[7]), ValueError, "k must count the rows 1..1 in order"),
     (lambda: record(k=[2, 1], z=[[0.0]] * 2, x=[[0.0]] * 2, w=[[0.0]] * 2, residual=[0.0] * 2), ValueError,
      "k must count the rows 1..2 in order"),
+    # a classification's generator is square
+    (lambda: ResolventClassification([[0.0, 1.0]], 0.0, PROXIMAL), DimensionMismatch,
+     "recovered_M must be square, got shape (1, 2)"),
     # no point, matrix or problem has a dimension of 0
     (lambda: dl.run(problem(), []), DimensionMismatch, "z0 must have at least one coordinate, got shape (0,)"),
     (lambda: dl.compare_formulations(problem(), np.zeros(0)), DimensionMismatch,
