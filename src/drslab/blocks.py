@@ -45,6 +45,7 @@ from .operators import (
     Inverse,
     MonotoneOperator,
     Zero,
+    _check_operator,
     _check_tau,
     _frozen_array,
     _integer,
@@ -68,6 +69,7 @@ class BlockSystem(Document):
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
         for name, op in (("A", self.A), ("B", self.B)):
+            _check_operator(op, name)
             if op.dim is not None and op.dim != self.n:
                 raise DimensionMismatch(
                     f"{name} acts on dimension {op.dim}, but the system is {self.n}-dimensional"

@@ -90,21 +90,15 @@ class CycleWitness(Document):
             raise ValueError(
                 f"cycle_sum {self.cycle_sum!r} disagrees with the sum {total!r} of its points"
             )
+        object.__setattr__(self, "n", len(pts))
+        # True when the witness actually proves a violation
+        object.__setattr__(self, "certifies", self.cycle_sum > TOL_VIOLATION)
         if self.xi is not None:
             object.__setattr__(self, "xi", _scalar(self.xi, "xi"))
             if abs(self.xi - self.cycle_sum) > TOL_XI * max(1.0, abs(self.xi)):
                 raise ValueError(
                     f"xi {self.xi!r} disagrees with cycle sum {self.cycle_sum!r}"
                 )
-
-    @property
-    def n(self):
-        return len(self.points)
-
-    @property
-    def certifies(self):
-        """True when the witness actually proves a violation."""
-        return self.cycle_sum > TOL_VIOLATION
 
     def to_dict(self):
         # the document also names the cycle length, and leaves out an absent xi

@@ -31,7 +31,6 @@ record's (K, n) arrays alive.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 
@@ -41,6 +40,7 @@ from .errors import DimensionMismatch, LengthMismatch
 from .operators import (
     Document,
     MonotoneOperator,
+    _check_operator,
     _check_tau,
     _integer,
     _integers,
@@ -126,14 +126,13 @@ class DrsProblem(Document):
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_operator(self.A, "A")
+        _check_operator(self.B, "B")
         da, db = self.A.dim, self.B.dim
         if da is not None and db is not None and da != db:
             raise DimensionMismatch(f"A acts on dimension {da} but B on {db}")
-
-    @property
-    def dim(self):
-        """Intrinsic dimension, or None when both operators are dimension-free."""
-        return self.A.dim if self.A.dim is not None else self.B.dim
+        # the intrinsic dimension, or None when both operators are dimension-free
+        object.__setattr__(self, "dim", da if da is not None else db)
 
 
 def _last_row(arr):
@@ -159,13 +158,15 @@ class TrajectoryRecord(Document):
     status: str
 
     def __post_init__(self):
-        # the arrays run builds (float64, k int) are used as they are, not
-        # copied; the point gate refuses an empty residual, so a record has rows
+        # run's frozen arrays (float64, k int) are kept as they are, a caller's writeable
+        # one is copied; the point gate refuses an empty residual, so a record has rows
         for name, ndim in (("k", 1), ("z", 2), ("x", 2), ("w", 2), ("residual", 1)):
-            read = _integers if name == "k" else _points
-            arr = read(getattr(self, name), name)
+            given = getattr(self, name)
+            arr = (_integers if name == "k" else _points)(given, name)
             if arr.ndim != ndim:
                 raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {arr.shape}")
+            if arr.flags.writeable and isinstance(given, np.ndarray):
+                arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         K = len(self.k)
@@ -193,21 +194,12 @@ class TrajectoryRecord(Document):
 
     def to_csv_string(self):
         """The rows as CSV with header k,z*,x*,w*,residual at full precision."""
-        n = self.z.shape[1]
-        cols = (
-            ["k"]
-            + [f"z{i}" for i in range(n)]
-            + [f"x{i}" for i in range(n)]
-            + [f"w{i}" for i in range(n)]
-            + ["residual"]
-        )
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for i in range(len(self)):
-            vals = np.concatenate([self.z[i], self.x[i], self.w[i], [self.residual[i]]])
-            row = [str(int(self.k[i]))] + [format(v, ".17g") for v in vals]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        n = range(self.z.shape[1])
+        cols = ["k", *(f"{c}{i}" for c in "zxw" for i in n), "residual"]
+        table = np.column_stack((self.z, self.x, self.w, self.residual)).tolist()
+        rows = (",".join([str(k), *(format(v, ".17g") for v in vals)])
+                for k, vals in zip(self.k.tolist(), table))
+        return "\n".join([",".join(cols), *rows]) + "\n"
 
 
 def drs_step(problem, z):
@@ -263,8 +255,10 @@ def run(problem, z0):
     fields = {}
     for name, parts in blocks.items():
         fields[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        fields[name].setflags(write=False)  # the record's own, so it keeps it uncopied
         parts.clear()
     k = np.arange(1, fields["residual"].shape[0] + 1)
+    k.setflags(write=False)
     return TrajectoryRecord(k, *fields.values(), status)  # fields: z, x, w, residual
 
 

@@ -49,7 +49,10 @@ of the other modules, take their fields from their annotations, are frozen
 once ``__post_init__`` has checked them, and write each field by name (arrays
 as nested lists) to a JSON document they are rebuilt from.  An operator's
 document adds its ``type`` tag, from which ``operator_from_dict`` picks the
-class.  It replaces ``dataclass``, whose generated methods took 7 ms of import.
+class.  A value derived from the fields (an operator's ``dim``, a block's
+``n1``) is set once by ``__post_init__``, next to the checks that read those
+fields; it is not a field, so it never appears in a document or ``repr``.
+It replaces ``dataclass``, whose generated methods took 7 ms of import.
 """
 
 from __future__ import annotations
@@ -258,8 +261,10 @@ class Document:
     ones; a class-level value is a default.  The constructor binds them by
     position or keyword (a TypeError for a missing, unknown or repeated one),
     then calls ``__post_init__``, which converts them with
-    ``object.__setattr__``.  A record is immutable (AttributeError), equal
-    only to itself, and prints as a dataclass does.  One field table does what
+    ``object.__setattr__`` and sets there, once, each value derived from them:
+    an unannotated name, so not a field, in no document and no ``repr``.  A
+    record is immutable (AttributeError), equal only to itself, and prints as
+    a dataclass does.  One field table does what
     ``@dataclass(frozen=True, eq=False)`` did with four methods generated and
     exec-ed for each class at import, about 0.5 ms a class.
 
@@ -332,16 +337,14 @@ class MonotoneOperator(Document):
     ``_graph_residual`` when a sharper membership test than the generic
     resolvent characterization is available.
     Each variant names its document ``tag``; its document is
-    ``{"type": tag, **fields}``.
+    ``{"type": tag, **fields}``.  ``dim`` and ``is_subdifferential`` are not
+    fields: class values, set by ``__post_init__`` where the fields decide them.
     """
 
     #: True when the operator is the subdifferential of a convex function.
     is_subdifferential = False
-
-    @property
-    def dim(self):
-        """Ambient dimension, or None when the operator works in any."""
-        return None
+    #: Ambient dimension, or None when the operator works in any.
+    dim = None
 
     def _resolve(self, tau, X):
         raise NotImplementedError
@@ -353,6 +356,12 @@ class MonotoneOperator(Document):
 
     def to_dict(self):
         return {"type": self.tag, **super().to_dict()}
+
+
+def _check_operator(op, name):
+    """TypeError unless op is a catalog operator: an instance, not a class."""
+    if not isinstance(op, MonotoneOperator):
+        raise TypeError(f"{name} must be a catalog operator")
 
 
 class Zero(MonotoneOperator):
@@ -398,10 +407,7 @@ class LinearRelation(MonotoneOperator):
         _check_square(M, "M")
         _check_monotone(M, "M")
         object.__setattr__(self, "M", M)
-
-    @property
-    def dim(self):
-        return self.M.shape[0]
+        object.__setattr__(self, "dim", M.shape[0])
 
     def _resolve(self, tau, X):
         kept_tau, R = getattr(self, "_resolvent", (None, None))
@@ -440,10 +446,7 @@ class Quadratic(MonotoneOperator):
             )
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "q", q)
-
-    @property
-    def dim(self):
-        return self.Q.shape[0]
+        object.__setattr__(self, "dim", Q.shape[0])
 
     def _resolve(self, tau, X):
         kept_tau, R, shift = getattr(self, "_resolvent", (None, None, None))
@@ -495,10 +498,7 @@ class Box(MonotoneOperator):
             raise ValueError("box requires lo <= hi componentwise, with no NaN bound")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def dim(self):
-        return self.lo.shape[0]
+        object.__setattr__(self, "dim", lo.shape[0])
 
     def _resolve(self, tau, X):
         # the bits of np.clip (NaN and signed zeros too), without its Python wrapper
@@ -539,10 +539,7 @@ class AffineConstraint(MonotoneOperator):
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "_projector", projector)
         object.__setattr__(self, "_offset", offset)
-
-    @property
-    def dim(self):
-        return self.E.shape[1]
+        object.__setattr__(self, "dim", E.shape[1])
 
     def _resolve(self, tau, X):
         R = X.dot(self._projector.T)
@@ -564,18 +561,11 @@ class Inverse(MonotoneOperator):
     tag = "inverse"
 
     def __post_init__(self):
-        if not isinstance(self.inner, MonotoneOperator):
-            raise TypeError("inner must be a catalog operator")
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    @property
-    def is_subdifferential(self):
+        _check_operator(self.inner, "inner")
+        object.__setattr__(self, "dim", self.inner.dim)
         # inverting a subdifferential yields the subdifferential of the
         # convex conjugate, so cyclic monotonicity is preserved
-        return self.inner.is_subdifferential
+        object.__setattr__(self, "is_subdifferential", self.inner.is_subdifferential)
 
     def _resolve(self, tau, X):
         return X - tau * self.inner._resolve(1.0 / tau, X / tau)
@@ -607,8 +597,8 @@ class Block2x2(MonotoneOperator):
         if 0 in C.shape:
             raise DimensionMismatch(f"C must have at least one coordinate per block, got shape {C.shape}")
         object.__setattr__(self, "C", C)
-        # C is frozen, so the coupling is decided once, not on every resolve
-        object.__setattr__(self, "_coupled", bool(np.any(C)))
+        _check_operator(self.A, "A")
+        _check_operator(self.B, "B")
         n2, n1 = C.shape
         if self.A.dim is not None and self.A.dim != n1:
             raise DimensionMismatch(
@@ -618,24 +608,13 @@ class Block2x2(MonotoneOperator):
             raise DimensionMismatch(
                 f"B acts on dimension {self.B.dim} but C has {n2} rows"
             )
-
-    @property
-    def n1(self):
-        return self.C.shape[1]
-
-    @property
-    def n2(self):
-        return self.C.shape[0]
-
-    @property
-    def dim(self):
-        return self.n1 + self.n2
-
-    @property
-    def is_subdifferential(self):
-        if self._coupled:
-            return False
-        return self.A.is_subdifferential and self.B.is_subdifferential
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+        object.__setattr__(self, "dim", n1 + n2)
+        # C is frozen, so the coupling is decided once, not on every resolve
+        object.__setattr__(self, "_coupled", bool(np.any(C)))
+        blockwise = self.A.is_subdifferential and self.B.is_subdifferential
+        object.__setattr__(self, "is_subdifferential", blockwise and not self._coupled)
 
     def _resolve(self, tau, X):
         if not self._coupled:

@@ -1,5 +1,6 @@
 """Splitting engine: steps, relaxation, the run driver, certificates, CSV."""
 
+import io
 import tracemalloc
 import weakref
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import drslab as dl
-from helpers import monotone_matrix, rotation
+from helpers import block_end_runs, monotone_matrix, rotation
 
 
 def identity_problem(**kwargs):
@@ -152,6 +153,27 @@ def test_final_rows_own_their_data():
     assert final_x.shape == (3,)
 
 
+@pytest.mark.parametrize("max_iters", [5, 200])  # one block of steps, and several concatenated
+def test_run_record_fields_are_its_own_and_frozen(max_iters):
+    record = dl.run(disjoint_boxes(max_iters), np.zeros(3))
+    for name in ("k", "z", "x", "w", "residual"):
+        arr = getattr(record, name)
+        assert arr.base is None and not arr.flags.writeable, name
+
+
+def test_a_record_leaves_the_callers_arrays_writeable():
+    k, z, x, w, r = np.arange(1, 3), np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.zeros(2)
+    record = dl.TrajectoryRecord(k, z, x, w, r, "max_iters")
+    z[0, 0], r[1], k[0] = 1.0, 5.0, 7  # each was read-only after the record froze it in place
+    assert np.array_equal(record.z, np.zeros((2, 2))) and np.array_equal(record.residual, [0.0, 0.0])
+    assert np.array_equal(record.k, [1, 2])
+    for name, given in (("k", k), ("z", z), ("x", x), ("w", w), ("residual", r)):
+        assert given.flags.writeable and not getattr(record, name).flags.writeable, name
+    # an array the caller froze is already safe to share, as run's are: kept, not copied
+    z.setflags(write=False)
+    assert dl.TrajectoryRecord(np.arange(1, 3), z, x, w, r, "max_iters").z is z
+
+
 def test_a_long_run_keeps_little_more_than_its_data():
     # 20,000 steps at n = 3 hold 1.6 MB of data (3n + 1 floats a step); with
     # each step kept as objects until the run ended, the peak was about 10 MB
@@ -281,3 +303,51 @@ def test_csv_round_trips_floats_exactly():
         parsed = np.array([float(c) for c in cells[1:]])
         stored = np.concatenate([traj.z[i], traj.x[i], traj.w[i], [traj.residual[i]]])
         assert np.array_equal(parsed, stored)
+
+
+def row_csv(traj):
+    """The CSV writer as it was, one np.concatenate per row: the reference for its bytes."""
+    n = traj.z.shape[1]
+    cols = (
+        ["k"]
+        + [f"z{i}" for i in range(n)]
+        + [f"x{i}" for i in range(n)]
+        + [f"w{i}" for i in range(n)]
+        + ["residual"]
+    )
+    buf = io.StringIO()
+    buf.write(",".join(cols) + "\n")
+    for i in range(len(traj)):
+        vals = np.concatenate([traj.z[i], traj.x[i], traj.w[i], [traj.residual[i]]])
+        row = [str(int(traj.k[i]))] + [format(v, ".17g") for v in vals]
+        buf.write(",".join(row) + "\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.7])
+def test_csv_bytes_are_the_row_writers_on_the_catalog(catalog, gamma):
+    rng = np.random.default_rng(5)
+    for entry in catalog:
+        p = entry.problem
+        problem = dl.DrsProblem(p.A, p.B, tau=p.tau, gamma=gamma, stop_tol=p.stop_tol)
+        traj = dl.run(problem, 3.0 * rng.standard_normal(entry.dim))
+        assert traj.to_csv_string() == row_csv(traj), entry.name
+
+
+BLOCK_END_RUNS = block_end_runs()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite runs overflow
+@pytest.mark.parametrize("run_id, problem, z0, status, steps", BLOCK_END_RUNS,
+                         ids=[case[0] for case in BLOCK_END_RUNS])
+def test_csv_bytes_are_the_row_writers_at_block_ends(run_id, problem, z0, status, steps):
+    traj = dl.run(problem, z0)  # converged, max_iters and nonfinite ends (inf and nan cells)
+    assert (traj.status, len(traj)) == (status, steps)
+    assert traj.to_csv_string() == row_csv(traj)
+
+
+def test_csv_bytes_are_the_row_writers_on_a_long_run_from_negative_zero():
+    traj = dl.run(disjoint_boxes(20_000), np.full(3, -0.0))
+    text = traj.to_csv_string()
+    assert text == row_csv(traj)
+    assert text.count("\n") == 20_001

@@ -258,6 +258,23 @@ def test_a_record_or_a_problem_without_data_is_refused(build, error, text):
     assert (info.type, str(info.value)) == (error, text)
 
 
+@pytest.mark.parametrize("build, text", [
+    (lambda: dl.Inverse(1.0), "inner must be a catalog operator"),
+    (lambda: dl.Block2x2(1.0, dl.Zero(), [[1.0]]), "A must be a catalog operator"),
+    (lambda: dl.Block2x2(dl.Zero(), None, [[1.0]]), "B must be a catalog operator"),
+    (lambda: dl.DrsProblem("l1", dl.Zero()), "A must be a catalog operator"),
+    # a class is not an operator: its dim would be the class value, not a number
+    (lambda: dl.DrsProblem(dl.Zero, dl.Zero()), "A must be a catalog operator"),
+    (lambda: dl.BlockSystem(dl.Zero(), 3, 1.0, 1), "B must be a catalog operator"),
+], ids=["inverse", "block-A", "block-B", "problem-A", "problem-class", "system-B"])
+def test_a_block_that_is_not_an_operator_is_a_type_error(build, text):
+    # a library caller's mistake, read before any dimension is; documents
+    # decode their blocks through operator_from_dict and never reach it
+    with pytest.raises(TypeError) as info:
+        build()
+    assert (info.type, str(info.value)) == (TypeError, text)
+
+
 def test_a_stack_with_no_rows_maps_to_no_rows():
     X = np.zeros((0, 3))
     assert dl.resolve(dl.L1(1.0), 1.0, X).shape == (0, 3)
