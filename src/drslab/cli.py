@@ -84,9 +84,8 @@ def _vector(doc, key):
     return np.atleast_1d(_numbers(doc[key], key))
 
 
-#: Each problem setting: its document key and flag attribute.
-_SETTINGS = (("tau", "tau"), ("gamma", "gamma"), ("max_iters", "iters"),
-             ("stop_tol", "stop_tol"), ("seed", "seed"))
+#: Each problem setting: its document key, also the attribute of its flag.
+_SETTINGS = ("tau", "gamma", "max_iters", "stop_tol", "seed")
 
 
 def _build_problem(args, doc):
@@ -94,8 +93,8 @@ def _build_problem(args, doc):
     or a document key, which DrsProblem gates; its defaults fill in the others."""
     A, B = _operator(doc, "A"), _operator(doc, "B")
     settings = {}
-    for key, flag in _SETTINGS:
-        flag_value = getattr(args, flag, None)
+    for key in _SETTINGS:
+        flag_value = getattr(args, key, None)
         if flag_value is not None:
             settings[key] = flag_value
         elif key in doc:
@@ -276,7 +275,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, iters_help, tau=True, seed=True):
+    def common(p, iters_help, tau=True, seed=True, iters="iters"):
         p.add_argument("--problem", required=True, help="path to the problem JSON file")
         if tau:
             p.add_argument("--tau", type=float, default=None, help="step size (overrides the file)")
@@ -285,10 +284,10 @@ def build_parser():
                            help="seed for any randomness (default 0)")
         p.add_argument("--out", default=None, help="write machine output here instead of stdout")
         if iters_help:
-            p.add_argument("--iters", type=int, default=None, help=iters_help)
+            p.add_argument("--iters", dest=iters, metavar="ITERS", type=int, help=iters_help)
 
     p = sub.add_parser("run-drs", help="iterate the splitting and export the trajectory")
-    common(p, "iteration cap", seed=False)  # run-drs draws nothing at random
+    common(p, "iteration cap", seed=False, iters="max_iters")  # run-drs draws nothing at random
     p.add_argument("--gamma", type=float, default=None, help="relaxation in (0, 2]")
     p.add_argument("--stop-tol", dest="stop_tol", type=float, default=None, help="stop tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="trajectory format")

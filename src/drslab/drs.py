@@ -43,7 +43,6 @@ from .operators import (
     _check_operator,
     _check_tau,
     _integer,
-    _integers,
     _norm,
     _points,
     _scalar,
@@ -147,39 +146,42 @@ class TrajectoryRecord(Document):
 
     Row k (1-based, contiguous) stores the new iterate z^k together with
     the intermediates x^k = J_B(tau, z^{k-1}), w^k = J_A(tau, 2x^k - z^{k-1})
-    and the step residual ||z^k - z^{k-1}||.
+    and the step residual ||z^k - z^{k-1}||; ``k``, the row numbers 1..K, is
+    derived and written to the document.
     """
 
-    k: np.ndarray
     z: np.ndarray
     x: np.ndarray
     w: np.ndarray
     residual: np.ndarray
     status: str
 
+    _written = ("k",)
+
     def __post_init__(self):
-        # run's frozen arrays (float64, k int) are kept as they are, a caller's writeable
-        # one is copied; the point gate refuses an empty residual, so a record has rows
-        for name, ndim in (("k", 1), ("z", 2), ("x", 2), ("w", 2), ("residual", 1)):
+        # run's frozen arrays own their data and are kept as they are, a caller's writeable
+        # array or view is copied; the point gate refuses an empty residual, so a record has rows
+        for name, ndim in (("z", 2), ("x", 2), ("w", 2), ("residual", 1)):
             given = getattr(self, name)
-            arr = (_integers if name == "k" else _points)(given, name)
+            arr = _points(given, name)
             if arr.ndim != ndim:
                 raise DimensionMismatch(f"{name} must be {ndim}-D, got shape {arr.shape}")
-            if arr.flags.writeable and isinstance(given, np.ndarray):
+            if isinstance(given, np.ndarray) and (arr.flags.writeable or arr.base is not None):
                 arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        K = len(self.k)
-        if not K == len(self.z) == len(self.x) == len(self.w) == len(self.residual):
-            rows = {name: len(getattr(self, name)) for name in ("k", "z", "x", "w", "residual")}
+        K = len(self.residual)
+        if not K == len(self.z) == len(self.x) == len(self.w):
+            rows = {name: len(getattr(self, name)) for name in ("z", "x", "w", "residual")}
             raise LengthMismatch(f"record fields differ in row count: {rows}")
         if not self.z.shape[1] == self.x.shape[1] == self.w.shape[1]:
             shapes = f"{self.z.shape}, {self.x.shape} and {self.w.shape}"
             raise DimensionMismatch(f"z, x and w must have one width, got shapes {shapes}")
-        if np.count_nonzero(self.k != np.arange(1, K + 1)):
-            raise ValueError(f"k must count the rows 1..{K} in order")
         if self.status not in (CONVERGED, MAX_ITERS, NONFINITE):
             raise ValueError(f"unknown status {self.status!r}")
+        k = np.arange(1, K + 1)
+        k.setflags(write=False)
+        object.__setattr__(self, "k", k)
 
     def __len__(self):
         return int(self.k.shape[0])
@@ -257,9 +259,7 @@ def run(problem, z0):
         fields[name] = parts[0] if len(parts) == 1 else np.concatenate(parts)
         fields[name].setflags(write=False)  # the record's own, so it keeps it uncopied
         parts.clear()
-    k = np.arange(1, fields["residual"].shape[0] + 1)
-    k.setflags(write=False)
-    return TrajectoryRecord(k, *fields.values(), status)  # fields: z, x, w, residual
+    return TrajectoryRecord(*fields.values(), status)  # fields: z, x, w, residual
 
 
 def solution_certificate(problem, z, tol):

@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockSystem, _direct_kernel, _drs_kernel
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
-from .operators import Document, Inverse, _integer, _same, _scalar
+from .operators import Document, Inverse, _integer, _scalar
 from .ppa import _lifted_rows
 
 RECURSION = "recursion"
@@ -34,16 +34,16 @@ REDUCED_FALLBACK = "drs"
 
 
 class EquivalenceReport(Document):
-    """Pairwise trajectory deviations between the three formulations;
-    ``max_deviation`` must be the worst of ``pairwise``, to the bit."""
+    """Pairwise trajectory deviations between the three formulations, and
+    ``max_deviation``, the worst of them, derived and written to the document."""
 
-    max_deviation: float
     iters: int
     reduced_path: str
     pairwise: dict
 
+    _written = ("max_deviation",)
+
     def __post_init__(self):
-        object.__setattr__(self, "max_deviation", _scalar(self.max_deviation, "max_deviation"))
         object.__setattr__(self, "iters", _integer(self.iters, "iters"))
         if self.reduced_path not in (REDUCED_DIRECT, REDUCED_FALLBACK):
             raise ValueError(f"unknown reduced_path {self.reduced_path!r}")
@@ -51,12 +51,7 @@ class EquivalenceReport(Document):
             raise ValueError(f"pairwise must map pair names to numbers, got {self.pairwise!r}")
         pairwise = {pair: _scalar(dev, pair) for pair, dev in self.pairwise.items()}
         object.__setattr__(self, "pairwise", pairwise)
-        worst = _worst_deviation(pairwise.values())
-        if not _same(self.max_deviation, worst):
-            raise ValueError(
-                f"max_deviation {self.max_deviation!r} disagrees with the worst pairwise "
-                f"deviation {worst!r}"
-            )
+        object.__setattr__(self, "max_deviation", _worst_deviation(pairwise.values()))
 
 
 def _worst_deviation(devs):
@@ -125,9 +120,4 @@ def compare_formulations(problem, z0, iters=100):
         for b in names[i + 1 :]:
             dev = float(np.max(np.linalg.norm(trajs[a] - trajs[b], axis=1)))
             pairwise[f"{a}-{b}"] = dev
-    return EquivalenceReport(
-        max_deviation=_worst_deviation(pairwise.values()),
-        iters=iters,
-        reduced_path=reduced_path,
-        pairwise=pairwise,
-    )
+    return EquivalenceReport(iters, reduced_path, pairwise)

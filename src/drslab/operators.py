@@ -49,9 +49,12 @@ of the other modules, take their fields from their annotations, are frozen
 once ``__post_init__`` has checked them, and write each field by name (arrays
 as nested lists) to a JSON document they are rebuilt from.  An operator's
 document adds its ``type`` tag, from which ``operator_from_dict`` picks the
-class.  A value derived from the fields (an operator's ``dim``, a block's
-``n1``) is set once by ``__post_init__``, next to the checks that read those
-fields; it is not a field, so it never appears in a document or ``repr``.
+class.  A value derived from the fields (an operator's ``dim``, a record's
+``k``) is set once by ``__post_init__``, next to the checks that read those
+fields; it is not a field, so no ``repr`` shows it.  A document also carries
+the derived values its class names ``_written`` (a record's ``k``, a report's
+``max_deviation``), and ``from_dict`` refuses one whose copy disagrees with
+what its fields give.
 It replaces ``dataclass``, whose generated methods took 7 ms of import.
 """
 
@@ -140,21 +143,6 @@ def _integer(value, name):
     if not number.is_integer():
         raise ValueError(f"{name!r} must be an integer, got {number!r}")
     return int(number)
-
-
-def _integers(values, name):
-    """The number gate for an array of counts, as an int array; one is kept as it is."""
-    if type(values) is np.ndarray and values.dtype.kind in "iu":
-        return values
-    arr = _points(values, name)
-    if not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
-        raise ValueError(f"{name!r} must hold integers, got {arr.tolist()}")
-    return arr.astype(int)
-
-
-def _same(a, b):
-    """a == b for two floats, with NaN equal to NaN."""
-    return a == b or (a != a and b != b)
 
 
 def _check_square(M, name):
@@ -262,19 +250,22 @@ class Document:
     position or keyword (a TypeError for a missing, unknown or repeated one),
     then calls ``__post_init__``, which converts them with
     ``object.__setattr__`` and sets there, once, each value derived from them:
-    an unannotated name, so not a field, in no document and no ``repr``.  A
+    an unannotated name, so not a field and in no ``repr``.  A
     record is immutable (AttributeError), equal only to itself, and prints as
     a dataclass does.  One field table does what
     ``@dataclass(frozen=True, eq=False)`` did with four methods generated and
     exec-ed for each class at import, about 0.5 ms a class.
 
-    ``to_dict`` writes every field by name; ``from_dict`` passes them back,
-    decoding a field annotated ``MonotoneOperator`` with ``operator_from_dict``
-    and one annotated with a record class with its ``from_dict``.  A field
-    with a default may be missing; other keys are ignored.
+    ``to_dict`` writes every field by name, then each derived value named in
+    ``_written``; ``from_dict`` passes the fields back, decoding a field
+    annotated ``MonotoneOperator`` with ``operator_from_dict`` and one
+    annotated with a record class with its ``from_dict``.  A field with a
+    default, or a written value, may be missing; other keys are ignored.  A
+    written value that is there must be what the fields give, else ValueError.
     """
 
     _fields, _defaults, _records = {}, {}, {}  # name -> annotation text / default / class
+    _written = ()  # derived values that the document carries after the fields
 
     def __init_subclass__(cls):
         own = vars(cls).get("__annotations__", {})
@@ -312,7 +303,7 @@ class Document:
         return f"{type(self).__qualname__}({fields})"
 
     def to_dict(self):
-        return {name: _encode(getattr(self, name)) for name in self._fields}
+        return {name: _encode(getattr(self, name)) for name in (*self._fields, *self._written)}
 
     @classmethod
     def from_dict(cls, data):
@@ -325,7 +316,23 @@ class Document:
                 elif annotation in cls._records:
                     value = cls._records[annotation].from_dict(value)
                 kwargs[name] = value
-        return cls(**kwargs)
+        record = cls(**kwargs)
+        for name in cls._written:
+            if name in data:
+                _check_written(name, data[name], getattr(record, name))
+        return record
+
+
+def _check_written(name, given, own):
+    """ValueError unless a document's copy of a derived value is the value itself:
+    a string exactly, numbers through the number gate, NaN equal to NaN."""
+    if isinstance(own, str):
+        agrees = isinstance(given, str) and given == own
+    else:
+        agrees = np.array_equal(_numbers(given, name), own, equal_nan=True)
+    if not agrees:
+        given, own = json.dumps(given, default=repr), json.dumps(_encode(own))
+        raise ValueError(f"{name!r} is {given} in the document, but its fields give {own}")
 
 
 class MonotoneOperator(Document):

@@ -225,6 +225,11 @@ ZERO_PAIR = {"A": {"type": "zero"}, "B": {"type": "zero"}}
         ("witness-skew", {"C": [[1.0]], "a1": None}, "'a1' must hold numbers, got null"),
         ("witness-skew", {"C": [[1.0]], "b1": [None]}, "'b1' must hold numbers, got [null]"),
         ("witness-skew", {"C": [[1.0]], "a1": {"x": 1}}, "'a1' must hold numbers, got {\"x\": 1}"),
+        # json.load reads NaN and Infinity; a witness of them printed NaN, and the second warned
+        ("witness-skew", {"C": [[float("nan"), 1.0]]},
+         "a witness's points, values, cycle_sum and xi must be finite"),
+        ("witness-skew", {"C": [[1.0]], "a1": [float("inf")]},
+         "a witness's points, values, cycle_sum and xi must be finite"),
     ],
 )
 def test_null_vector_exits_one_naming_the_key(tmp_path, capsys, command, doc, err):
@@ -352,6 +357,15 @@ def test_check_equivalence_direct_path(tmp_path, capsys):
         "recursion-reduced",
         "lifted-reduced",
     }
+
+
+def test_check_equivalence_iters_is_its_trajectory_length_not_an_iteration_cap(tmp_path, capsys):
+    # --iters once also set the problem's max_iters, which only run-drs uses
+    code = main(["check-equivalence", "--problem", write_doc(tmp_path, dict(L1_QUAD, z0=[1.0])),
+                 "--iters", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert (captured.out, captured.err) == ("", "error: iters must be at least 1, got 0\n")
 
 
 def test_check_equivalence_zero_pair_deviation_is_zero(tmp_path, capsys):

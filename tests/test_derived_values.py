@@ -1,21 +1,28 @@
 """Values derived from a record's fields: an operator's ``dim`` and
-``is_subdifferential``, a block's ``n1`` and ``n2``, a problem's ``dim`` and a
-witness's ``n`` and ``certifies``.
+``is_subdifferential``, a block's ``n1`` and ``n2``, a problem's ``dim``, a
+witness's ``n`` and ``certifies``, a trajectory record's ``k``, a
+classification's ``symmetry_defect`` and ``verdict`` and a report's
+``max_deviation``.
 
 ``__post_init__`` sets each once, after the checks that read its fields.  Each
 equals its formula from the fields, survives a document round trip, and is not
-a field: no document or ``repr`` shows it (a witness's document names its
-cycle length on purpose), and it cannot be assigned.
+a field: no ``repr`` shows it, and it cannot be assigned.  The documents of
+witnesses, records, classifications and reports carry theirs (``WRITTEN``),
+and ``from_dict`` refuses one whose copy disagrees with the fields.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 import drslab as dl
-from drslab.cyclic import TOL_VIOLATION
+from drslab.cyclic import INCONCLUSIVE, NOT_PROXIMAL, PROXIMAL, TOL_VIOLATION
 from helpers import operator_zoo, rotation
+
+#: The derived values a document carries after the fields.
+WRITTEN = {"n", "k", "symmetry_defect", "verdict", "max_deviation"}
 
 LEAF_DIMS = {
     dl.LinearRelation: lambda op: op.M.shape[0],
@@ -31,6 +38,16 @@ def expected(obj):
         return {"dim": obj.A.dim if obj.A.dim is not None else obj.B.dim}
     if isinstance(obj, dl.CycleWitness):
         return {"n": len(obj.points), "certifies": obj.cycle_sum > TOL_VIOLATION}
+    if isinstance(obj, dl.TrajectoryRecord):
+        return {"k": np.arange(1, len(obj.residual) + 1)}
+    if isinstance(obj, dl.ResolventClassification):
+        M = obj.recovered_M
+        defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
+        verdict = PROXIMAL if defect <= 1e-8 else NOT_PROXIMAL if defect > 1e-6 else INCONCLUSIVE
+        return {"symmetry_defect": defect, "verdict": verdict}
+    if isinstance(obj, dl.EquivalenceReport):
+        devs = list(obj.pairwise.values())
+        return {"max_deviation": max(devs) if devs and all(map(math.isfinite, devs)) else math.nan}
     if isinstance(obj, dl.Inverse):
         return {"dim": obj.inner.dim, "is_subdifferential": obj.inner.is_subdifferential}
     if isinstance(obj, dl.Block2x2):
@@ -46,6 +63,27 @@ def quadratic(n):
     return dl.Quadratic(np.eye(n), np.zeros(n))
 
 
+def same(got, value):
+    """got has value's type and equals it; an array equals entrywise, NaN equals NaN."""
+    if type(got) is not type(value):
+        return False
+    if isinstance(value, np.ndarray):
+        return got.dtype == value.dtype and np.array_equal(got, value)
+    return got == value or (value != value and got != got)
+
+
+def classified(M):
+    return dl.classify_resolvent(np.linalg.inv(np.eye(len(M)) + np.asarray(M)))
+
+
+def report(pairwise):
+    return dl.EquivalenceReport(1, dl.REDUCED_FALLBACK, pairwise)
+
+
+SPLIT = dl.DrsProblem(dl.L1(1.0), dl.Quadratic([[1.0]], [-1.0]))
+ZERO_RUN = np.zeros((2, 1))
+
+
 COUPLED = dl.Block2x2(dl.ScaledIdentity(1.0), dl.Zero(), [[0.5, 1.0]])
 CASES = [(name, op) for name, op, _ in operator_zoo()] + [
     ("inverse_inverse_l1", dl.Inverse(dl.Inverse(dl.L1(1.0)))),
@@ -59,6 +97,15 @@ CASES = [(name, op) for name, op, _ in operator_zoo()] + [
     ("problem_dim_free", dl.DrsProblem(dl.Zero(), dl.ScaledIdentity(2.0))),
     ("skew_witness", dl.skew_three_cycle([[1.0, 2.0]], [1.0, 0.0], [0.5])),
     ("flat_witness", dl.CycleWitness(([0.0], [1.0]), ([0.0], [0.0]), 0.0)),
+    ("run_record", dl.run(SPLIT, [5.0])),
+    ("one_row_record", dl.run(dl.DrsProblem(dl.Zero(), dl.Zero()), [1.0])),
+    ("caller_record", dl.TrajectoryRecord(ZERO_RUN, ZERO_RUN, ZERO_RUN, [0.5, 0.0], "converged")),
+    ("proximal", classified([[2.0, 1.0], [1.0, 3.0]])),
+    ("not_proximal", classified(rotation())),
+    ("inconclusive", dl.ResolventClassification([[1.0, 1e-7], [-1e-7, 1.0]])),
+    ("report", dl.compare_formulations(dl.catalog_by_name("random_monotone_5d").problem, [1.0] * 5, 20)),
+    ("report_not_finite", report({"recursion-lifted": 0.5, "recursion-reduced": math.inf})),
+    ("report_without_pairs", report({})),
 ]
 
 
@@ -70,6 +117,11 @@ def test_the_compositions_reach_both_verdicts_and_every_dimension_source():
     assert found["inverse_coupled_block"] == {"dim": 3, "is_subdifferential": False}
     assert [found[f"problem_dim_{at}"]["dim"] for at in ("on_a", "on_b", "free")] == [2, 3, None]
     assert found["skew_witness"]["certifies"] and not found["flat_witness"]["certifies"]
+    verdicts = [found[name]["verdict"] for name in ("proximal", "not_proximal", "inconclusive")]
+    assert verdicts == [PROXIMAL, NOT_PROXIMAL, INCONCLUSIVE]
+    assert found["report"]["max_deviation"] > 0.0
+    assert math.isnan(found["report_not_finite"]["max_deviation"])
+    assert [len(found[f"{name}_record"]["k"]) for name in ("one_row", "caller")] == [1, 2]
 
 
 @pytest.mark.parametrize("name, obj", CASES, ids=[name for name, _ in CASES])
@@ -77,15 +129,55 @@ def test_derived_values_are_set_once_from_the_fields(name, obj):
     values = expected(obj)
     for key, value in values.items():
         got = getattr(obj, key)
-        assert got == value and type(got) is type(value), key
+        assert same(got, value), key
         assert not isinstance(getattr(type(obj), key, None), property), key
         assert key not in type(obj)._fields, key
         assert not re.search(rf"[(, ]{key}=", repr(obj)), key
         with pytest.raises(AttributeError):
             setattr(obj, key, value)
-        assert getattr(obj, key) == value
+        assert same(getattr(obj, key), value), key
     doc = obj.to_dict()
-    named = {"n"} if isinstance(obj, dl.CycleWitness) else set()  # the witness's document names n
-    assert values.keys() & doc.keys() == named
-    back = type(obj).from_dict(doc)
-    assert {key: getattr(back, key) for key in values} == values
+    assert values.keys() & doc.keys() == values.keys() & WRITTEN
+    # a document may leave its derived values out
+    for back in (type(obj).from_dict(doc), type(obj).from_dict({k: doc[k] for k in doc.keys() - WRITTEN})):
+        assert all(same(getattr(back, key), value) for key, value in values.items())
+
+
+def test_k_is_a_read_only_integer_array_of_the_rows():
+    k = dl.run(SPLIT, [5.0]).k
+    assert k.dtype.kind == "i" and not k.flags.writeable
+    assert k.tolist() == list(range(1, len(k) + 1))
+
+
+RECORD = {"z": [[0.0]], "x": [[0.0]], "w": [[0.0]], "residual": [0.0], "status": "converged"}
+SKEW_M = [[0.0, -1.0], [1.0, 0.0]]
+REPORT = {"iters": 1, "reduced_path": "drs", "pairwise": {"recursion-lifted": 0.0, "recursion-reduced": 2e-16}}
+
+
+@pytest.mark.parametrize("cls, doc, text", [
+    (dl.TrajectoryRecord, {**RECORD, "k": [2]}, "'k' is [2] in the document, but its fields give [1]"),
+    (dl.TrajectoryRecord, {**RECORD, "k": [1, 2]},
+     "'k' is [1, 2] in the document, but its fields give [1]"),
+    (dl.TrajectoryRecord, {**RECORD, "k": 1}, "'k' is 1 in the document, but its fields give [1]"),
+    (dl.TrajectoryRecord, {**RECORD, "k": [True]}, "'k' must hold numbers, got [true]"),
+    (dl.ResolventClassification, {"recovered_M": SKEW_M, "symmetry_defect": 0.0},
+     "'symmetry_defect' is 0.0 in the document, but its fields give 2.0"),
+    (dl.ResolventClassification, {"recovered_M": SKEW_M, "verdict": PROXIMAL},
+     "'verdict' is \"Proximal\" in the document, but its fields give \"NotProximal\""),
+    (dl.ResolventClassification, {"recovered_M": SKEW_M, "symmetry_defect": 2.0, "verdict": 2.0},
+     "'verdict' is 2.0 in the document, but its fields give \"NotProximal\""),
+    (dl.EquivalenceReport, {**REPORT, "max_deviation": 0.0},
+     "'max_deviation' is 0.0 in the document, but its fields give 2e-16"),
+    (dl.EquivalenceReport, {**REPORT, "max_deviation": math.nan},
+     "'max_deviation' is NaN in the document, but its fields give 2e-16"),
+    (dl.EquivalenceReport, {**REPORT, "pairwise": {}, "max_deviation": 0.0},
+     "'max_deviation' is 0.0 in the document, but its fields give NaN"),
+    # its own to_dict wrote n, from_dict once ignored it and built a 2-point witness
+    (dl.CycleWitness, {"n": 5, "points": [[0.0], [1.0]], "values": [[0.0], [0.0]], "cycle_sum": 0.0},
+     "'n' is 5 in the document, but its fields give 2"),
+], ids=["k", "k_rows", "k_scalar", "k_boolean", "defect", "verdict", "verdict_number",
+        "max_deviation", "max_deviation_nan", "max_deviation_of_none", "n"])
+def test_a_document_whose_derived_value_disagrees_is_refused(cls, doc, text):
+    with pytest.raises(ValueError) as info:
+        cls.from_dict(doc)
+    assert (info.type, str(info.value)) == (ValueError, text)

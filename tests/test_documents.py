@@ -30,7 +30,6 @@ def documents():
             seed=3,
         ),
         "TrajectoryRecord": dl.TrajectoryRecord(
-            k=np.array([1, 2]),
             z=np.array([[0.5], [0.25]]),
             x=np.array([[1.0], [0.5]]),
             w=np.array([[0.0], [0.0]]),
@@ -41,10 +40,8 @@ def documents():
         "PpaState": dl.PpaState([1.0, 2.0], [0.0, -1.0], [3.0, 4.0]),
         "CycleWitness": dl.skew_three_cycle(np.array([[1.0]]), [1.0], [0.0]),
         "CycleWitness_no_xi": dl.CycleWitness([[1.0], [2.0]], [[0.5], [0.25]], 0.25),
-        "ResolventClassification": dl.ResolventClassification(np.eye(2), 0.0, "Proximal"),
-        "EquivalenceReport": dl.EquivalenceReport(
-            1e-12, 10, "direct", {"lifted": 0.0, "reduced": 1e-12}
-        ),
+        "ResolventClassification": dl.ResolventClassification(np.eye(2)),
+        "EquivalenceReport": dl.EquivalenceReport(10, "direct", {"lifted": 0.0, "reduced": 1e-12}),
     }
 
 

@@ -163,7 +163,7 @@ def test_run_record_fields_are_its_own_and_frozen(max_iters):
 
 def test_a_record_leaves_the_callers_arrays_writeable():
     k, z, x, w, r = np.arange(1, 3), np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.zeros(2)
-    record = dl.TrajectoryRecord(k, z, x, w, r, "max_iters")
+    record = dl.TrajectoryRecord(z, x, w, r, "max_iters")
     z[0, 0], r[1], k[0] = 1.0, 5.0, 7  # each was read-only after the record froze it in place
     assert np.array_equal(record.z, np.zeros((2, 2))) and np.array_equal(record.residual, [0.0, 0.0])
     assert np.array_equal(record.k, [1, 2])
@@ -171,7 +171,18 @@ def test_a_record_leaves_the_callers_arrays_writeable():
         assert given.flags.writeable and not getattr(record, name).flags.writeable, name
     # an array the caller froze is already safe to share, as run's are: kept, not copied
     z.setflags(write=False)
-    assert dl.TrajectoryRecord(np.arange(1, 3), z, x, w, r, "max_iters").z is z
+    assert dl.TrajectoryRecord(z, x, w, r, "max_iters").z is z
+
+
+def test_a_record_copies_a_read_only_view_of_a_writeable_array():
+    # frozen, but not its own data: a write through the base once showed in the record
+    base, x, r = np.zeros((2, 2)), np.ones((2, 2)), np.zeros(2)
+    z = base.view()
+    z.setflags(write=False)
+    record = dl.TrajectoryRecord(z, x, x, r, "max_iters")
+    base[0, 0] = 9.0
+    assert record.z is not z and record.z[0, 0] == 0.0
+    assert record.z.base is None and not record.z.flags.writeable
 
 
 def test_a_long_run_keeps_little_more_than_its_data():

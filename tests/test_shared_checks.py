@@ -64,7 +64,7 @@ def test_elimination_pair_rejects_malformed_arrays(R1, R2, message):
 def test_documents_freeze_copies_of_their_arrays():
     R1, R2, M = np.zeros((4, 2)), np.eye(2), np.eye(2)
     pair = dl.EliminationPair(R1, R2)
-    result = dl.ResolventClassification(M, 0.0, dl.PROXIMAL)
+    result = dl.ResolventClassification(M)
     for frozen in (pair.R1, pair.R2, result.recovered_M):
         assert not frozen.flags.writeable
     assert R1.flags.writeable and R2.flags.writeable and M.flags.writeable

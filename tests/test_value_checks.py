@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,6 +123,12 @@ def report(**fields):
                                            "pairwise": {"recursion-lifted": 0.0}, **fields})
 
 
+def classified(**fields):
+    """A ResolventClassification built from its document, with the given fields."""
+    return ResolventClassification.from_dict({"recovered_M": [[1.0, 0.0], [0.0, 1.0]],
+                                              "symmetry_defect": 0.0, "verdict": PROXIMAL, **fields})
+
+
 SKEW = dl.LinearRelation(rotation())
 
 
@@ -190,16 +197,15 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: record(z=[["a"]]), "'z' must hold numbers, got [[\"a\"]]"),
     (lambda: record(residual=[None]), "'residual' must hold numbers, got [null]"),
     (lambda: record(k=[True]), "'k' must hold numbers, got [true]"),
-    (lambda: record(k=[1.5]), "'k' must hold integers, got [1.5]"),
-    (lambda: ResolventClassification(np.eye(2), "0.5", PROXIMAL),
-     "'symmetry_defect' must hold numbers, got \"0.5\""),
-    (lambda: ResolventClassification(np.eye(2), 0.0, "proximal"), "unknown verdict 'proximal'"),
+    (lambda: record(k=[1.5]), "'k' is [1.5] in the document, but its fields give [1]"),
+    (lambda: classified(symmetry_defect="0.5"), "'symmetry_defect' must hold numbers, got \"0.5\""),
+    (lambda: classified(verdict="proximal"),
+     "'verdict' is \"proximal\" in the document, but its fields give \"Proximal\""),
     # a record's verdict and worst deviation are the ones its own data give
-    (lambda: ResolventClassification([[0.0, -1.0], [1.0, 0.0]], 0.0, PROXIMAL),
-     "symmetry_defect 0.0 and verdict 'Proximal' disagree with recovered_M, "
-     "whose defect is 2.0 and verdict 'NotProximal'"),
+    (lambda: classified(recovered_M=[[0.0, -1.0], [1.0, 0.0]]),
+     "'symmetry_defect' is 0.0 in the document, but its fields give 2.0"),
     (lambda: report(reduced_path="direct", pairwise={"recursion-lifted": 5.0}),
-     "max_deviation 0.0 disagrees with the worst pairwise deviation 5.0"),
+     "'max_deviation' is 0.0 in the document, but its fields give 5.0"),
 ])
 def test_library_callers_get_the_cli_checks(build, text):
     with pytest.raises(ValueError) as info:
@@ -212,24 +218,24 @@ EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.z
 
 @pytest.mark.parametrize("build, error, text", [
     # a record's fields agree in rows and width, and its status is one run gives
-    (lambda: record(k=[1, 2]), LengthMismatch,
-     "record fields differ in row count: {'k': 2, 'z': 1, 'x': 1, 'w': 1, 'residual': 1}"),
+    (lambda: record(k=[1, 2]), ValueError, "'k' is [1, 2] in the document, but its fields give [1]"),
     (lambda: record(residual=[0.0, 0.0]), LengthMismatch,
-     "record fields differ in row count: {'k': 1, 'z': 1, 'x': 1, 'w': 1, 'residual': 2}"),
+     "record fields differ in row count: {'z': 1, 'x': 1, 'w': 1, 'residual': 2}"),
     (lambda: record(x=[[0.0, 1.0]]), DimensionMismatch,
      "z, x and w must have one width, got shapes (1, 1), (1, 2) and (1, 1)"),
     (lambda: record(w=[0.0]), DimensionMismatch, "w must be 2-D, got shape (1,)"),
-    (lambda: record(k=[[1]]), DimensionMismatch, "k must be 1-D, got shape (1, 1)"),
-    (lambda: record(**EMPTY_RECORD), DimensionMismatch, "k must have at least one coordinate, got shape (0,)"),
+    (lambda: record(k=[[1]]), ValueError, "'k' is [[1]] in the document, but its fields give [1]"),
+    (lambda: record(**EMPTY_RECORD), DimensionMismatch,
+     "residual must have at least one coordinate, got shape (0,)"),
     (lambda: record(**{**EMPTY_RECORD, "k": np.zeros(0, dtype=int)}), DimensionMismatch,
      "residual must have at least one coordinate, got shape (0,)"),
     (lambda: record(status="done"), ValueError, "unknown status 'done'"),
     # a record's k numbers its rows 1..K, as run writes them
-    (lambda: record(k=[7]), ValueError, "k must count the rows 1..1 in order"),
+    (lambda: record(k=[7]), ValueError, "'k' is [7] in the document, but its fields give [1]"),
     (lambda: record(k=[2, 1], z=[[0.0]] * 2, x=[[0.0]] * 2, w=[[0.0]] * 2, residual=[0.0] * 2), ValueError,
-     "k must count the rows 1..2 in order"),
+     "'k' is [2, 1] in the document, but its fields give [1, 2]"),
     # a classification's generator is square
-    (lambda: ResolventClassification([[0.0, 1.0]], 0.0, PROXIMAL), DimensionMismatch,
+    (lambda: classified(recovered_M=[[0.0, 1.0]]), DimensionMismatch,
      "recovered_M must be square, got shape (1, 2)"),
     # no point, matrix or problem has a dimension of 0
     (lambda: dl.run(problem(), []), DimensionMismatch, "z0 must have at least one coordinate, got shape (0,)"),
@@ -379,7 +385,7 @@ def reference_classify_resolvent(T):
         verdict = NOT_PROXIMAL
     else:
         verdict = INCONCLUSIVE
-    return ResolventClassification(M, defect, verdict)
+    return SimpleNamespace(recovered_M=M, symmetry_defect=defect, verdict=verdict)
 
 
 def classification(classify, T):
