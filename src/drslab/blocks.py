@@ -13,8 +13,8 @@ and can be evaluated three independent ways:
 
 * ``reduced_resolvent_via_drs``: rescale, take one splitting step,
   rescale back.  Works for every catalog operator.
-* ``reduced_resolvent_direct``: assemble K L^{-1} K^T densely and solve
-  (I + K L^{-1} K^T) v+ = v.  Needs invertible linear blocks.
+* ``reduced_resolvent_direct``: assemble K L^{-1} K^T densely and invert
+  I + K L^{-1} K^T once.  Needs invertible linear blocks.
 * ``reduced_resolvent_fukushima``: the complement form
   v - K (L + K^T K)^{-1} K^T v, algebraically identical to the direct
   path by a Woodbury rearrangement.  Same invertibility caveat.
@@ -24,16 +24,17 @@ them to 1e-10.  The reduced leg of ``equivalence.formulation_trajectories``
 iterates the direct kernel or, where it cannot be assembled, the one-step
 kernel: the very functions the first two paths apply.
 
-L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)`` and the
+L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)``, built
+once by the system and kept as ``system.L``; every lifted path reads it.  The
 3n x 3n lifted operator of ``ppa`` is ``Block2x2(L, Zero(), [I I])``; both are
 made dense by ``linear_matrix``, which raises NotLinear for a block that is
-not linear or is singular.
+not linear or is singular.  ``elimination_pair`` returns its (R1, R2) as
+arrays, as ``lifted_blocks`` returns (L, K).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .operators import (
     Zero,
     _check_operator,
     _check_tau,
-    _frozen_array,
     _integer,
     _linalg,
     _points,
@@ -74,9 +74,10 @@ class BlockSystem(Document):
                 raise DimensionMismatch(
                     f"{name} acts on dimension {op.dim}, but the system is {self.n}-dimensional"
                 )
-        # computed once and shared by every path so the coordinate link
-        # cannot drift between formulations
+        # root_tau = sqrt(tau) and the lifted operator L are derived once and
+        # shared by every path, so neither can drift between formulations
         object.__setattr__(self, "root_tau", math.sqrt(self.tau))
+        object.__setattr__(self, "L", Block2x2(Inverse(self.B), Inverse(self.A), self.tau * np.eye(self.n)))
 
     def metric_factor(self):
         """The 3n x n factor D = (0, 0, (1/sqrt(tau)) I)^T with Q = D D^T."""
@@ -94,34 +95,7 @@ class BlockSystem(Document):
         """Dense 3n x 3n lifted operator [[L, -E^T], [E, 0]], E = [I I]: the
         matrix of ``Block2x2(L, Zero(), E)``; needs invertible linear blocks."""
         E = np.hstack([np.eye(self.n)] * 2)
-        return linear_matrix(Block2x2(_lifted_operator(self), Zero(), E), 3 * self.n)
-
-
-class EliminationPair(Document):
-    """Matrices (R1, R2) that eliminate the auxiliary block rows.
-
-    They satisfy L R1 = K^T R2 and K R1 = (1/sqrt(tau)) I for the scaled
-    K = sqrt(tau) [I I]; R1 is (2n, n), R2 is (n, n).
-    """
-
-    R1: np.ndarray
-    R2: np.ndarray
-
-    def __post_init__(self):
-        R1 = _frozen_array(self.R1, 2, "R1")
-        R2 = _frozen_array(self.R2, 2, "R2")
-        if R2.shape[0] != R2.shape[1]:
-            raise DimensionMismatch(f"R2 must be square, got {R2.shape}")
-        n = R2.shape[0]
-        if R1.shape != (2 * n, n):
-            raise DimensionMismatch(f"R1 must be (2n, n) = {(2 * n, n)}, got {R1.shape}")
-        object.__setattr__(self, "R1", R1)
-        object.__setattr__(self, "R2", R2)
-
-
-def _lifted_operator(sys):
-    """L = [[B^{-1}, -tau*I], [tau*I, A^{-1}]] as a catalog operator."""
-    return Block2x2(Inverse(sys.B), Inverse(sys.A), sys.tau * np.eye(sys.n))
+        return linear_matrix(Block2x2(self.L, Zero(), E), 3 * self.n)
 
 
 def lifted_blocks(sys):
@@ -130,8 +104,7 @@ def lifted_blocks(sys):
     Raises NotLinear when a block is not linear-representable or singular.
     """
     eye = np.eye(sys.n)
-    L = linear_matrix(_lifted_operator(sys), 2 * sys.n)
-    return L, sys.root_tau * np.hstack([eye, eye])
+    return linear_matrix(sys.L, 2 * sys.n), sys.root_tau * np.hstack([eye, eye])
 
 
 def _gram(L, K):
@@ -151,8 +124,10 @@ def _drs_kernel(sys):
 
 
 def _direct_kernel(sys):
-    """v -> (I + K L^{-1} K^T)^{-1} v, assembled once; raises NotLinear or SingularSystem."""
-    return partial(np.linalg.solve, np.eye(sys.n) + coupling_gram(sys))
+    """V -> V (I + K L^{-1} K^T)^{-T}, inverted once; raises NotLinear or SingularSystem."""
+    G = np.eye(sys.n) + coupling_gram(sys)
+    R = _linalg(np.linalg.inv, SingularSystem, "I + K L^{-1} K^T is singular", G)
+    return lambda V: V.dot(R.T)
 
 
 def reduced_resolvent_via_drs(sys, v):
@@ -168,11 +143,10 @@ def reduced_resolvent_via_drs(sys, v):
 def reduced_resolvent_direct(sys, v):
     """Evaluate the reduced resolvent by dense assembly.
 
-    Solves (I + K L^{-1} K^T) v+ = v.  Requires both blocks to be
-    invertible linear maps; raises NotLinear otherwise.
+    Applies the inverse of I + K L^{-1} K^T to v.  Requires both blocks to
+    be invertible linear maps; raises NotLinear otherwise.
     """
-    V = _points(v, "v", dim=sys.n)
-    return _linalg(_direct_kernel(sys), SingularSystem, "I + K L^{-1} K^T is singular", V.T).T
+    return _direct_kernel(sys)(_points(v, "v", dim=sys.n))
 
 
 def reduced_resolvent_fukushima(sys, v):
@@ -190,10 +164,11 @@ def reduced_resolvent_fukushima(sys, v):
 
 
 def elimination_pair(sys):
-    """Solve for the (R1, R2) elimination pair of an invertible system."""
+    """The elimination pair of an invertible system, as arrays (R1, R2) of shapes
+    (2n, n) and (n, n) with L R1 = K^T R2 and K R1 = (1/sqrt(tau)) I."""
     L, K = lifted_blocks(sys)
     W = _gram(L, K)
     message = "K L^{-1} K^T is singular; no elimination pair exists"
     R2 = _linalg(np.linalg.solve, SingularSystem, message, W, np.eye(sys.n) / sys.root_tau)
     R1 = np.linalg.solve(L, K.T @ R2)
-    return EliminationPair(R1, R2)
+    return R1, R2

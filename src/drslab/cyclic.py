@@ -91,7 +91,10 @@ class CycleWitness(Document):
         sums = (self.cycle_sum, 0.0 if self.xi is None else self.xi)
         if not (np.isfinite((pts, vals)).all() and np.isfinite(sums).all()):
             raise ValueError("a witness's points, values, cycle_sum and xi must be finite")
-        total = cycle_sum(pts, vals)
+        with np.errstate(all="ignore"):  # an overflow is refused below, by name
+            total = _cycle_total(pts, vals)
+        if not np.isfinite(total):
+            raise ValueError(f"the cycle sum of the witness's points overflows to {total!r}")
         slack = TOL_XI * max(1.0, abs(total))
         if not abs(self.cycle_sum - total) <= slack:
             raise ValueError(
@@ -151,9 +154,12 @@ def _cycle_arrays(points, values):
 
 def cycle_sum(points, values):
     """The wraparound sum  sum_i <x_{i+1} - x_i, u_i>."""
-    pts, vals = _cycle_arrays(points, values)
-    total = 0.0
-    m = len(pts)
+    return _cycle_total(*_cycle_arrays(points, values))
+
+
+def _cycle_total(pts, vals):
+    """``cycle_sum`` of a tuple ``_cycle_arrays`` has already checked."""
+    total, m = 0.0, len(pts)
     for i in range(m):
         total += float((pts[(i + 1) % m] - pts[i]) @ vals[i])
     return total
@@ -196,8 +202,7 @@ def skew_three_cycle(C, a1, b1):
     values = [np.concatenate([-C.T @ b, C @ a]) for a, b in blocks]
 
     xi = float(Ca1 @ Ca1 + CtCa1 @ CtCa1 + Ctb1 @ Ctb1 + CCtb1 @ CCtb1)
-    total = cycle_sum(points, values)
-    return CycleWitness(tuple(points), tuple(values), total, xi=xi)
+    return CycleWitness(tuple(points), tuple(values), _cycle_total(points, values), xi=xi)
 
 
 def _update_columns(ufunc, W, cols, T):

@@ -7,9 +7,9 @@ and reports the largest pairwise deviation over the whole trajectory.
 
 The reduced leg iterates ``blocks``' direct kernel, the one
 ``reduced_resolvent_direct`` applies, whenever both blocks are invertible
-linear maps (a genuinely independent computation, from ``linear_matrix`` of
-the catalog operator L); otherwise the assembly raises NotLinear or
-SingularSystem, the leg iterates the one-step kernel of
+linear maps (a genuinely independent computation: the inverse of
+I + K L^{-1} K^T, from ``linear_matrix`` of L); otherwise the assembly
+raises NotLinear or SingularSystem, the leg iterates the one-step kernel of
 ``reduced_resolvent_via_drs`` and the report says so in ``reduced_path``.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import BlockSystem, _direct_kernel, _drs_kernel
 from .drs import _splitting_rows, _start_vector
 from .errors import DrslabError
-from .operators import Document, Inverse, _integer, _scalar
+from .operators import Document, _integer, _scalar
 from .ppa import _lifted_rows
 
 RECURSION = "recursion"
@@ -91,9 +91,8 @@ def formulation_trajectories(problem, z0, iters):
     # classical recursion (unrelaxed), on the drs kernel
     zs = _trajectory(lambda Z: _splitting_rows(A, B, tau, Z)[0], z0, iters)
 
-    # lifted 4-variable form, z component, on the ppa kernel
-    inv_a, inv_b = Inverse(A), Inverse(B)
-    zl = _trajectory(lambda Z: _lifted_rows(inv_a, inv_b, tau, Z)[2], z0, iters)
+    # lifted 4-variable form, z component, on the ppa kernel and the system's L
+    zl = _trajectory(lambda Z: _lifted_rows(system.L, tau, Z)[2], z0, iters)
 
     # reduced form, iterated in v coordinates and scaled back to z
     try:

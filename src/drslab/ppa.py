@@ -16,7 +16,9 @@ under the degenerate metric Q = blockdiag(0, 0, (1/tau) I).  Only the z
 component carries metric weight: Q has rank n out of 3n, u and s are
 auxiliary, and z+ depends on the incoming state through z alone.
 
-``PpaSystem`` is ``blocks.BlockSystem``, the system type of the reduced paths.
+The two resolvents are those of the diagonal blocks of ``system.L``, which
+the system builds once.  ``PpaSystem`` is ``blocks.BlockSystem``, the system
+type of the reduced paths.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .blocks import BlockSystem
 from .errors import DimensionMismatch
-from .operators import Document, Inverse, _norm, _points, graph_residual
+from .operators import Document, _norm, _points, graph_residual
 
 
 #: The lifted form runs on the one system type of the reduced paths.
@@ -57,19 +59,19 @@ def initial_state(sys, z0):
     return PpaState(zero, zero, z0)
 
 
-def _lifted_rows(inv_a, inv_b, tau, Z):
-    """The lifted update on a point z or a row stack Z of them, without input
-    checks; returns (u+, s+, z+) in the layout of Z."""
+def _lifted_rows(L, tau, Z):
+    """The lifted update, from L.A = B^{-1} and L.B = A^{-1}, on a point z or a row
+    stack Z of them, without input checks; returns (u+, s+, z+) in Z's layout."""
     W = Z / tau
-    U = inv_b._resolve(1.0 / tau, W)
-    S = inv_a._resolve(1.0 / tau, W - (U + U))  # U + U: exact, the bits of 2.0*U
+    U = L.A._resolve(1.0 / tau, W)
+    S = L.B._resolve(1.0 / tau, W - (U + U))  # U + U: exact, the bits of 2.0*U
     return U, S, Z - tau * (S + U)
 
 
 def ppa_step(sys, state):
     """One lifted update; the result depends on the input through z only."""
     Z = _points(state.z, "state.z", dim=sys.n)
-    return PpaState(*_lifted_rows(Inverse(sys.A), Inverse(sys.B), sys.tau, Z))
+    return PpaState(*_lifted_rows(sys.L, sys.tau, Z))
 
 
 def ppa_inclusion_residual(sys, prev, nxt):

@@ -211,17 +211,10 @@ def test_elimination_pair_defining_equations():
         ),
     ]
     for sys in systems:
-        pair = dl.elimination_pair(sys)
+        R1, R2 = dl.elimination_pair(sys)
         L, K = dl.lifted_blocks(sys)
-        assert np.max(np.abs(L @ pair.R1 - K.T @ pair.R2)) <= 1e-8
-        assert np.max(np.abs(K @ pair.R1 - np.eye(sys.n) / sys.root_tau)) <= 1e-8
-
-
-def test_elimination_pair_shape_validation():
-    with pytest.raises(dl.DimensionMismatch):
-        dl.EliminationPair(np.zeros((3, 2)), np.zeros((2, 2)))
-    with pytest.raises(dl.DimensionMismatch):
-        dl.EliminationPair(np.zeros((4, 2)), np.zeros((2, 3)))
+        assert np.max(np.abs(L @ R1 - K.T @ R2)) <= 1e-8
+        assert np.max(np.abs(K @ R1 - np.eye(sys.n) / sys.root_tau)) <= 1e-8
 
 
 def test_coupling_gram_matches_projected_lifted_inverse():

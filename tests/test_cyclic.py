@@ -153,6 +153,14 @@ def test_cycle_witness_rejects_a_stored_sum_its_points_do_not_show():
     assert dl.CycleWitness(points, values, 0.25 + 1e-12).certifies
 
 
+@pytest.mark.filterwarnings("error")
+def test_cycle_witness_names_an_overflowing_sum():
+    # finite points whose differences overflow once warned, then blamed the stated sum
+    message = r"^the cycle sum of the witness's points overflows to nan$"
+    with pytest.raises(ValueError, match=message):
+        dl.CycleWitness([[1e308], [-1e308]], [[1.0], [1.0]], 0.0)
+
+
 def test_cycle_witness_round_trip():
     witness = dl.skew_three_cycle(np.array([[2.0]]), np.array([1.0]), np.array([0.5]))
     clone = dl.CycleWitness.from_dict(witness.to_dict())

@@ -1,8 +1,8 @@
 """Values derived from a record's fields: an operator's ``dim`` and
 ``is_subdifferential``, a block's ``n1`` and ``n2``, a problem's ``dim``, a
 witness's ``n`` and ``certifies``, a trajectory record's ``k``, a
-classification's ``symmetry_defect`` and ``verdict`` and a report's
-``max_deviation``.
+classification's ``symmetry_defect`` and ``verdict``, a report's
+``max_deviation`` and a block system's ``root_tau`` and lifted operator ``L``.
 
 ``__post_init__`` sets each once, after the checks that read its fields.  Each
 equals its formula from the fields, survives a document round trip, and is not
@@ -181,3 +181,29 @@ def test_a_document_whose_derived_value_disagrees_is_refused(cls, doc, text):
     with pytest.raises(ValueError) as info:
         cls.from_dict(doc)
     assert (info.type, str(info.value)) == (ValueError, text)
+
+
+SYSTEMS = [
+    dl.BlockSystem(dl.LinearRelation(rotation()), dl.ScaledIdentity(2.0), 0.5, 2),
+    dl.BlockSystem(dl.L1(1.0), dl.Zero(), 2.0, 3),
+]
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=["linear", "nonsmooth"])
+def test_a_system_derives_root_tau_and_its_lifted_operator_once(system):
+    L = system.L
+    assert system.root_tau == math.sqrt(system.tau)
+    assert type(L) is dl.Block2x2 and type(L.A) is dl.Inverse and type(L.B) is dl.Inverse
+    assert L.A.inner is system.B and L.B.inner is system.A
+    assert same(L.C, system.tau * np.eye(system.n))
+    for key, value in (("root_tau", system.root_tau), ("L", L)):
+        assert key not in dl.BlockSystem._fields
+        assert not re.search(rf"[(, ]{key}=", repr(system)), key
+        with pytest.raises(AttributeError):
+            setattr(system, key, value)
+    doc = system.to_dict()
+    assert doc.keys() == {"A", "B", "tau", "n"}
+    back = dl.BlockSystem.from_dict(doc)
+    assert back.root_tau == system.root_tau
+    assert back.L.A.inner is back.B and back.L.B.inner is back.A
+    assert back.L.to_dict() == L.to_dict()

@@ -34,8 +34,6 @@ def samples():
     """One instance of each record class, by class."""
     found = {type(doc): doc for doc in documents().values()}
     found[dl.CatalogEntry] = dl.catalog_by_name("box_quadratic_3d")
-    system = dl.BlockSystem(dl.ScaledIdentity(1.0), dl.ScaledIdentity(2.0), 0.5, 2)
-    found[dl.EliminationPair] = dl.elimination_pair(system)
     return found
 
 

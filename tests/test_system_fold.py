@@ -2,8 +2,9 @@
 
 ``PpaSystem`` is ``BlockSystem``, and the dense lifted operator, the
 coupling Gram matrix and the elimination pair all come from
-``linear_matrix`` of the catalog operator L built in ``blocks``.  Each is held to an in-test reference
-assembly with exact equality, so sharing the assembly changes no bit.
+``linear_matrix`` of the catalog operator L that the system builds once.
+Each is held to an in-test reference assembly with exact equality, so
+sharing the assembly changes no bit.
 """
 
 import math
@@ -68,9 +69,9 @@ def test_shared_assembly_matches_reference_exactly(A, B, tau, n):
     system = dl.BlockSystem(A, B, tau, n)
     assert np.array_equal(system.lifted_matrix(), lifted)
     assert np.array_equal(dl.coupling_gram(system), gram)
-    pair = dl.elimination_pair(system)
-    assert np.array_equal(pair.R1, R1)
-    assert np.array_equal(pair.R2, R2)
+    pair_R1, pair_R2 = dl.elimination_pair(system)
+    assert np.array_equal(pair_R1, R1)
+    assert np.array_equal(pair_R2, R2)
 
 
 @pytest.mark.parametrize("name", SINGULAR)
@@ -79,3 +80,43 @@ def test_lifted_matrix_singular_block_raises_not_linear(catalog_map, name):
     system = dl.PpaSystem(entry.problem.A, entry.problem.B, entry.problem.tau, entry.dim)
     with pytest.raises(dl.NotLinear, match="^inverse of a singular matrix is a relation, not a map$"):
         system.lifted_matrix()
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls; return the count list."""
+    calls, original = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ("random_monotone_5d", "l1_quadratic_1d"))
+def test_only_the_system_builds_the_lifted_operator(catalog_map, name, monkeypatch):
+    # the system builds L's two Inverse blocks; a lifted step builds none, and a
+    # comparison of the formulations only those of the system it makes
+    entry = catalog_map[name]
+    p, n = entry.problem, entry.dim
+    built = _counted(monkeypatch, dl.Inverse, "__post_init__")
+    system = dl.BlockSystem(p.A, p.B, p.tau, n)
+    assert len(built) == 2
+    dl.ppa_step(system, dl.initial_state(system, np.ones(n)))
+    assert len(built) == 2
+    dl.formulation_trajectories(p, np.ones(n), iters=10)
+    assert len(built) == 4
+
+
+def test_the_direct_reduced_leg_solves_nothing_per_step(monkeypatch):
+    # fresh operators for each run, so no kept resolvent carries over
+    counts = []
+    for iters in (10, 100):
+        problem = dl.catalog_by_name("random_monotone_5d").problem
+        solves, inverses = _counted(monkeypatch, np.linalg, "solve"), _counted(monkeypatch, np.linalg, "inv")
+        _, path = dl.formulation_trajectories(problem, np.ones(5), iters)
+        assert path == dl.REDUCED_DIRECT
+        counts.append((len(solves), len(inverses)))
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
