@@ -217,6 +217,15 @@ def test_elimination_pair_defining_equations():
         assert np.max(np.abs(K @ R1 - np.eye(sys.n) / sys.root_tau)) <= 1e-8
 
 
+def test_elimination_pair_shape_validation():
+    # the pair is two plain arrays, R1 of shape (2n, n) and R2 of shape (n, n)
+    for n in (1, 2, 3):
+        sys = dl.BlockSystem(dl.ScaledIdentity(2.0), dl.ScaledIdentity(0.5), 0.5, n)
+        R1, R2 = dl.elimination_pair(sys)
+        assert type(R1) is np.ndarray and type(R2) is np.ndarray
+        assert (R1.shape, R2.shape) == ((2 * n, n), (n, n))
+
+
 def test_coupling_gram_matches_projected_lifted_inverse():
     # scaling-free cross-check: (D^T A^{-1} D)^{-1} = K L^{-1} K^T
     rng = np.random.default_rng(113)

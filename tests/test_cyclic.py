@@ -161,6 +161,23 @@ def test_cycle_witness_names_an_overflowing_sum():
         dl.CycleWitness([[1e308], [-1e308]], [[1.0], [1.0]], 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cycle_witness_names_a_sum_that_overflows_to_infinity():
+    # both terms overflow to -inf, so the sum is infinite, not nan
+    message = r"^the cycle sum of the witness's points overflows to -inf$"
+    with pytest.raises(ValueError, match=message):
+        dl.CycleWitness([[1e308], [-1e308]], [[1.0], [-1.0]], 0.0)
+
+
+@pytest.mark.parametrize("seed", (409, 411, 413))
+def test_a_skew_witness_stores_the_bits_of_cycle_sum(seed):
+    # the witness sums unchecked, in cycle_sum's order, so its stored sum is bit-equal
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((2, 3))
+    witness = dl.skew_three_cycle(C, rng.standard_normal(3), rng.standard_normal(2))
+    assert witness.cycle_sum == dl.cycle_sum(witness.points, witness.values)
+
+
 def test_cycle_witness_round_trip():
     witness = dl.skew_three_cycle(np.array([[2.0]]), np.array([1.0]), np.array([0.5]))
     clone = dl.CycleWitness.from_dict(witness.to_dict())

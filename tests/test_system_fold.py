@@ -74,6 +74,23 @@ def test_shared_assembly_matches_reference_exactly(A, B, tau, n):
     assert np.array_equal(pair_R2, R2)
 
 
+@pytest.mark.parametrize("A, B, tau, n", list(_invertible_cases()))
+def test_direct_path_applies_one_inverse_to_every_row(A, B, tau, n):
+    # the kernel inverts I + K L^{-1} K^T once; each row of a stack, and each
+    # point alone, gets what a solve of that system gives
+    system = dl.BlockSystem(A, B, tau, n)
+    V = np.random.default_rng(2025).standard_normal((4, n))
+    G = np.eye(n) + dl.coupling_gram(system)
+    reference = np.linalg.solve(G, V.T).T
+    stacked = dl.reduced_resolvent_direct(system, V)
+    assert stacked.shape == (4, n)
+    assert np.max(np.abs(stacked - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+    for v, row in zip(V, stacked):
+        alone = dl.reduced_resolvent_direct(system, v)
+        assert alone.shape == (n,)
+        assert np.max(np.abs(alone - row)) <= 1e-12 * max(1.0, np.max(np.abs(row)))
+
+
 @pytest.mark.parametrize("name", SINGULAR)
 def test_lifted_matrix_singular_block_raises_not_linear(catalog_map, name):
     entry = catalog_map[name]
