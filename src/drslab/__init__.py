@@ -52,6 +52,7 @@ from .operators import (
     ScaledIdentity,
     Zero,
     graph_member,
+    graph_pair,
     graph_residual,
     linear_matrix,
     moreau_residual,
@@ -62,7 +63,7 @@ from .operators import (
 
 #: Each name of the analysis half, and each of its modules, to its home module.
 _LAZY = {name: home for home, names in {
-    "blocks": "BlockSystem coupling_gram elimination_pair lifted_blocks"
+    "blocks": "BlockSystem coupling_gram lifted_blocks"
               " reduced_resolvent_direct reduced_resolvent_fukushima reduced_resolvent_via_drs",
     "cyclic": "INCONCLUSIVE NOT_PROXIMAL PROXIMAL CycleWitness ResolventClassification"
               " classify_resolvent cycle_sum drs_map_matrix sample_cycles skew_three_cycle",

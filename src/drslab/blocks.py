@@ -13,23 +13,25 @@ and can be evaluated three independent ways:
 
 * ``reduced_resolvent_via_drs``: rescale, take one splitting step,
   rescale back.  Works for every catalog operator.
-* ``reduced_resolvent_direct``: assemble K L^{-1} K^T densely and invert
-  I + K L^{-1} K^T once.  Needs invertible linear blocks.
+* ``reduced_resolvent_direct``: solve the lifted inclusion on the graphs of
+  A and B, one 3n x 3n system G of their graph pairs (``graph_pair``),
+  inverted once.  Works for every affine operator, singular ones included:
+  a nonsingular G is a well-defined resolvent.
 * ``reduced_resolvent_fukushima``: the complement form
-  v - K (L + K^T K)^{-1} K^T v, algebraically identical to the direct
-  path by a Woodbury rearrangement.  Same invertibility caveat.
+  v - K (L + K^T K)^{-1} K^T v, equal by a Woodbury rearrangement.  Needs
+  invertible linear blocks: it assembles L.
 
 All three must agree to near machine precision; the test suite holds
 them to 1e-10.  The reduced leg of ``equivalence.formulation_trajectories``
-iterates the direct kernel or, where it cannot be assembled, the one-step
-kernel: the very functions the first two paths apply.
+iterates the direct kernel or, for an operator with no graph pair (``L1``,
+``Box``), the one-step kernel: the very functions the first two paths apply.
 
 L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)``, built
 once by the system and kept as ``system.L``; every lifted path reads it.  The
 3n x 3n lifted operator of ``ppa`` is ``Block2x2(L, Zero(), [I I])``; both are
 made dense by ``linear_matrix``, which raises NotLinear for a block that is
-not linear or is singular.  ``elimination_pair`` returns its (R1, R2) as
-arrays, as ``lifted_blocks`` returns (L, K).
+not linear or is singular.  No elimination pair is built: it exists only for
+an invertible L, and G certifies the reduced resolvent without one.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .operators import (
     _integer,
     _linalg,
     _points,
+    graph_pair,
     linear_matrix,
 )
 
@@ -99,22 +102,16 @@ class BlockSystem(Document):
 
 
 def lifted_blocks(sys):
-    """The dense (L, K) pair of an invertible linear system.
-
-    Raises NotLinear when a block is not linear-representable or singular.
-    """
+    """The dense (L, K) pair of an invertible linear system; NotLinear when a
+    block has no matrix (not linear, or singular)."""
     eye = np.eye(sys.n)
     return linear_matrix(sys.L, 2 * sys.n), sys.root_tau * np.hstack([eye, eye])
 
 
-def _gram(L, K):
-    """K L^{-1} K^T for an assembled (L, K) pair."""
-    return K @ _linalg(np.linalg.solve, SingularSystem, "lifted block matrix L is singular", L, K.T)
-
-
 def coupling_gram(sys):
     """The dense n x n matrix K L^{-1} K^T."""
-    return _gram(*lifted_blocks(sys))
+    L, K = lifted_blocks(sys)
+    return K @ _linalg(np.linalg.solve, SingularSystem, "lifted block matrix L is singular", L, K.T)
 
 
 def _drs_kernel(sys):
@@ -124,10 +121,16 @@ def _drs_kernel(sys):
 
 
 def _direct_kernel(sys):
-    """V -> V (I + K L^{-1} K^T)^{-T}, inverted once; raises NotLinear or SingularSystem."""
-    G = np.eye(sys.n) + coupling_gram(sys)
-    R = _linalg(np.linalg.inv, SingularSystem, "I + K L^{-1} K^T is singular", G)
-    return lambda V: V.dot(R.T)
+    """V -> v+ from one inverse of G, the lifted inclusion on the graphs in the
+    unknowns (xi_B, xi_A, v+), r = sqrt(tau): its bottom n rows give R, which
+    multiplies v, and the shift of the offsets.  NotLinear or SingularSystem."""
+    n, tau, r, eye = sys.n, sys.tau, sys.root_tau, np.eye(sys.n)
+    (PA, QA, pA, qA), (PB, QB, pB, qB) = graph_pair(sys.A, n), graph_pair(sys.B, n)
+    G = np.block([[PB, -tau * QA, -r * eye], [tau * QB, PA, -r * eye], [r * QB, r * QA, eye]])
+    rows = _linalg(np.linalg.inv, SingularSystem, "the reduced graph system G is singular", G)[2 * n :]
+    shift = rows.dot(np.concatenate([tau * qA - pB, -tau * qB - pA, -r * (qB + qA)]))
+    R = rows[:, 2 * n :]
+    return lambda V: V.dot(R.T) + shift
 
 
 def reduced_resolvent_via_drs(sys, v):
@@ -141,34 +144,17 @@ def reduced_resolvent_via_drs(sys, v):
 
 
 def reduced_resolvent_direct(sys, v):
-    """Evaluate the reduced resolvent by dense assembly.
-
-    Applies the inverse of I + K L^{-1} K^T to v.  Requires both blocks to
-    be invertible linear maps; raises NotLinear otherwise.
-    """
+    """Evaluate the reduced resolvent on the graphs of A and B, from their graph
+    pairs; NotLinear for an operator with none, SingularSystem for a singular G."""
     return _direct_kernel(sys)(_points(v, "v", dim=sys.n))
 
 
 def reduced_resolvent_fukushima(sys, v):
-    """Evaluate the reduced resolvent in complement form.
-
-    Computes v - K (L + K^T K)^{-1} K^T v, which equals the direct path
-    by the Woodbury identity.  Same invertibility requirements as the
-    direct path.
-    """
+    """Evaluate the reduced resolvent in complement form, v - K (L + K^T K)^{-1} K^T v,
+    equal to the direct path by the Woodbury identity; NotLinear unless both
+    blocks are invertible linear maps."""
     V = _points(v, "v", dim=sys.n)
     L, K = lifted_blocks(sys)
     G = L + K.T @ K
     Y = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", G, K.T @ V.T)
     return V - (K @ Y).T
-
-
-def elimination_pair(sys):
-    """The elimination pair of an invertible system, as arrays (R1, R2) of shapes
-    (2n, n) and (n, n) with L R1 = K^T R2 and K R1 = (1/sqrt(tau)) I."""
-    L, K = lifted_blocks(sys)
-    W = _gram(L, K)
-    message = "K L^{-1} K^T is singular; no elimination pair exists"
-    R2 = _linalg(np.linalg.solve, SingularSystem, message, W, np.eye(sys.n) / sys.root_tau)
-    R1 = np.linalg.solve(L, K.T @ R2)
-    return R1, R2

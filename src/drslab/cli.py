@@ -308,7 +308,7 @@ def build_parser():
     p.set_defaults(func=cmd_witness_skew)
 
     p = sub.add_parser("classify-resolvent", help="classify the splitting map of a linear problem")
-    common(p, None)
+    common(p, None, seed=False)  # the map is read from the operators, not sampled
     p.add_argument("--gamma", type=float, default=None, help="relaxation in (0, 2]")
     p.set_defaults(func=cmd_classify_resolvent)
 

@@ -6,11 +6,11 @@ z-trajectory.  ``compare_formulations`` runs all three from one start
 and reports the largest pairwise deviation over the whole trajectory.
 
 The reduced leg iterates ``blocks``' direct kernel, the one
-``reduced_resolvent_direct`` applies, whenever both blocks are invertible
-linear maps (a genuinely independent computation: the inverse of
-I + K L^{-1} K^T, from ``linear_matrix`` of L); otherwise the assembly
-raises NotLinear or SingularSystem, the leg iterates the one-step kernel of
-``reduced_resolvent_via_drs`` and the report says so in ``reduced_path``.
+``reduced_resolvent_direct`` applies, whenever both operators are affine,
+singular ones included (a genuinely independent computation: one inverse of
+the system of their graph pairs).  Only an operator with no graph pair
+(``L1``, ``Box``) makes it raise NotLinear; then the leg iterates the recursion
+rescaled, ``reduced_resolvent_via_drs``'s kernel, and ``reduced_path`` says so.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import BlockSystem, _direct_kernel, _drs_kernel
 from .drs import _splitting_rows, _start_vector
-from .errors import DrslabError
+from .errors import NotLinear
 from .operators import Document, _integer, _scalar
 from .ppa import _lifted_rows
 
@@ -97,7 +97,7 @@ def formulation_trajectories(problem, z0, iters):
     # reduced form, iterated in v coordinates and scaled back to z
     try:
         reduced_path, reduced_step = REDUCED_DIRECT, _direct_kernel(system)
-    except DrslabError:
+    except NotLinear:
         reduced_path, reduced_step = REDUCED_FALLBACK, _drs_kernel(system)
     rt = system.root_tau
     zr = rt * _trajectory(reduced_step, z0 / rt, iters)

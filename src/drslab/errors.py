@@ -26,7 +26,7 @@ class UnsupportedComposition(DrslabError):
 
 
 class NotLinear(DrslabError):
-    """Operator is not representable as a single dense matrix."""
+    """Operator or map has no matrix: not affine (no graph pair), offset, or multivalued."""
 
 
 class ZeroCoupling(DrslabError):

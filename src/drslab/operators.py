@@ -38,6 +38,11 @@ proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 ``classify_resolvent`` recovers, monotone with one Cholesky factorization
 (n^3/3 flops) of the shifted symmetric part, which is formed without overflow.
 
+Graph pairs.  ``graph_pair`` reads an affine operator, multivalued too, as
+(P, Q, p, q) with gra op = {(P xi + p, Q xi + q)}; an ``Inverse`` swaps its
+operator's pair.  ``linear_matrix`` is Q P^{-1}, but assembles a ``Block2x2``
+from its blocks' matrices, so that a tau*I coupling keeps its exact bits.
+
 Operators are immutable values; the kept matrix is a cache that never
 changes a result.  Every kernel (``_resolve``) and ``resolve`` accept a
 single point (shape ``(n,)``) or a stack of points (shape ``(m, n)``, one
@@ -650,33 +655,41 @@ class Block2x2(MonotoneOperator):
         return max(ra, rb)
 
 
-def linear_matrix(op, n):
-    """Dense matrix M with op(x) = M x, or raise NotLinear.
-
-    Dimension-free variants (Zero, ScaledIdentity) are promoted to n x n.
-    """
+def graph_pair(op, n):
+    """(P, Q, p, q) with gra op = {(P xi + p, Q xi + q) : xi in R^n}, P and Q
+    n x n, kept arrays read-only as they are; NotLinear unless op is affine."""
     if op.dim is not None and op.dim != n:
         raise DimensionMismatch(f"operator acts on dimension {op.dim}, not {n}")
+    eye, zero = np.eye(n), np.zeros(n)
     if isinstance(op, Zero):
-        return np.zeros((n, n))
+        return eye, np.zeros((n, n)), zero, zero
     if isinstance(op, ScaledIdentity):
-        return op.alpha * np.eye(n)
+        return eye, op.alpha * eye, zero, zero
     if isinstance(op, LinearRelation):
-        return np.array(op.M)
+        return eye, op.M, zero, zero
     if isinstance(op, Quadratic):
-        if np.any(op.q):
-            raise NotLinear("quadratic with a nonzero linear term is affine, not linear")
-        return np.array(op.Q)
+        return eye, op.Q, zero, op.q
+    if isinstance(op, AffineConstraint):  # points Pi xi + c, normals (I - Pi) xi
+        return op._projector, eye - op._projector, op._offset, zero
     if isinstance(op, Inverse):
-        inner = linear_matrix(op.inner, n)
-        return _linalg(
-            np.linalg.inv, NotLinear, "inverse of a singular matrix is a relation, not a map", inner
-        )
-    if isinstance(op, Block2x2):
-        MA = linear_matrix(op.A, op.n1)
-        MB = linear_matrix(op.B, op.n2)
-        return np.block([[MA, -op.C.T], [op.C, MB]])
-    raise NotLinear(f"{type(op).__name__} is not linear-representable")
+        P, Q, p, q = graph_pair(op.inner, n)
+        return Q, P, q, p
+    if isinstance(op, Block2x2):  # S(x1, x2) = (A x1 - C^T x2, C x1 + B x2)
+        (PA, QA, pA, qA), (PB, QB, pB, qB), C = graph_pair(op.A, op.n1), graph_pair(op.B, op.n2), op.C
+        P = np.block([[PA, np.zeros(C.T.shape)], [np.zeros(C.shape), PB]])
+        Q = np.block([[QA, -C.T @ PB], [C @ PA, QB]])
+        return P, Q, np.concatenate([pA, pB]), np.concatenate([qA - C.T @ pB, qB + C @ pA])
+    raise NotLinear(f"{type(op).__name__} is not affine: it has no graph pair")
+
+
+def linear_matrix(op, n):
+    """Dense matrix M with op(x) = M x (see Graph pairs above), else NotLinear."""
+    if isinstance(op, Block2x2) and op.dim == n:
+        return np.block([[linear_matrix(op.A, op.n1), -op.C.T], [op.C, linear_matrix(op.B, op.n2)]])
+    P, Q, p, q = graph_pair(op, n)
+    if np.any(p) or np.any(q):
+        raise NotLinear(f"{type(op).__name__} with a nonzero offset is affine, not linear")
+    return Q @ _linalg(np.linalg.inv, NotLinear, "inverse of a singular matrix is a relation, not a map", P)
 
 
 def _points(x, name, dim=None, ndim=2):

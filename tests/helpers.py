@@ -57,6 +57,20 @@ def operator_zoo():
     return zoo
 
 
+def two_lines(theta):
+    """The two-lines problem of Bauschke, Schaad & Wang (2018): the normal cones
+    of the x-axis and of the line at angle theta through the origin."""
+    return dl.DrsProblem(dl.AffineConstraint([[0.0, 1.0]], [0.0]),
+                         dl.AffineConstraint([[-math.sin(theta), math.cos(theta)]], [0.0]))
+
+
+#: (theta, closed-form verdict) of the two-lines grid: the splitting map is
+#: symmetric, hence a proximal map, only where the lines coincide or are orthogonal
+TWO_LINES_GRID = ((0.0, "Proximal"), (0.3, "NotProximal"), (0.7, "NotProximal"),
+                  (math.pi / 4, "NotProximal"), (math.pi / 2 - 1e-6, "NotProximal"),
+                  (math.pi / 2, "Proximal"))
+
+
 def sample_points(rng, count, dim, scale=2.0):
     return scale * rng.standard_normal((count, dim))
 

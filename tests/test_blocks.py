@@ -71,10 +71,14 @@ def test_direct_scaled_identities_frozen_value():
     assert np.allclose(dl.reduced_resolvent_via_drs(sys, np.array([1.0])), got, atol=1e-14)
 
 
-def test_direct_requires_invertible_blocks():
+def test_direct_covers_singular_blocks():
+    # a Zero block has no inverse, but its graph pair (I, 0) gives the direct
+    # path the same map as the splitting step: here (I + M)^{-1}
     sys = dl.BlockSystem(dl.LinearRelation(rotation()), dl.Zero(), 1.0, 2)
-    with pytest.raises(dl.NotLinear, match="inverse of a singular matrix"):
-        dl.reduced_resolvent_direct(sys, np.array([1.0, 0.0]))
+    got = dl.reduced_resolvent_direct(sys, np.array([1.0, 0.0]))
+    assert np.allclose(got, [0.5, -0.5], atol=1e-15)
+    V = sample_points(np.random.default_rng(71), 20, 2)
+    assert np.max(np.abs(dl.reduced_resolvent_direct(sys, V) - dl.reduced_resolvent_via_drs(sys, V))) <= 1e-14
 
 
 def test_lifted_blocks_rejects_prox_operators():
@@ -192,38 +196,6 @@ def test_moreau_complement_satisfies_linear_inclusion():
     r = dl.reduced_resolvent_via_drs(sys, V)
     c = V - r
     assert np.max(np.abs(c - r @ W.T)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# elimination pair
-
-
-def test_elimination_pair_defining_equations():
-    rng = np.random.default_rng(109)
-    systems = [
-        identity_pair(),
-        dl.BlockSystem(dl.ScaledIdentity(2.0), dl.ScaledIdentity(2.0), 0.5, 2),
-        dl.BlockSystem(
-            dl.LinearRelation(monotone_matrix(rng, 3)),
-            dl.LinearRelation(monotone_matrix(rng, 3)),
-            2.0,
-            3,
-        ),
-    ]
-    for sys in systems:
-        R1, R2 = dl.elimination_pair(sys)
-        L, K = dl.lifted_blocks(sys)
-        assert np.max(np.abs(L @ R1 - K.T @ R2)) <= 1e-8
-        assert np.max(np.abs(K @ R1 - np.eye(sys.n) / sys.root_tau)) <= 1e-8
-
-
-def test_elimination_pair_shape_validation():
-    # the pair is two plain arrays, R1 of shape (2n, n) and R2 of shape (n, n)
-    for n in (1, 2, 3):
-        sys = dl.BlockSystem(dl.ScaledIdentity(2.0), dl.ScaledIdentity(0.5), 0.5, n)
-        R1, R2 = dl.elimination_pair(sys)
-        assert type(R1) is np.ndarray and type(R2) is np.ndarray
-        assert (R1.shape, R2.shape) == ((2 * n, n), (n, n))
 
 
 def test_coupling_gram_matches_projected_lifted_inverse():

@@ -79,6 +79,21 @@ def test_run_drs_has_no_seed_flag_and_checks_the_document_seed(tmp_path, capsys)
     assert captured.out == ""
 
 
+def test_classify_resolvent_has_no_seed_flag_and_checks_the_document_seed(tmp_path, capsys):
+    # the splitting map is read from the operators, not sampled, so --seed is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["classify-resolvent", "--problem", write_doc(tmp_path, SKEW), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert captured.out == ""
+    code = main(["classify-resolvent", "--problem", write_doc(tmp_path, dict(SKEW, seed=-1))])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+    assert captured.out == ""
+
+
 def test_run_drs_exit_two_when_capped(tmp_path, capsys):
     path = write_doc(tmp_path, dict(IDENTITY_PAIR, z0=[8.0]))
     code = main(["run-drs", "--problem", path, "--iters", "3"])
@@ -233,6 +248,22 @@ ZERO_PAIR = {"A": {"type": "zero"}, "B": {"type": "zero"}}
     ],
 )
 def test_null_vector_exits_one_naming_the_key(tmp_path, capsys, command, doc, err):
+    code = main([command, "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: {err}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        ("run-drs", [1, 2], "problem file must hold a JSON object"),
+        ("witness-skew", {"C": [1.0, 2.0]}, "'C' must be a matrix"),
+        ("moreau-check", {"tau": 1.0, "dim": 2}, "moreau-check needs an 'op' or 'A'/'B' operator"),
+    ],
+)
+def test_a_document_of_the_wrong_shape_exits_one(tmp_path, capsys, command, doc, err):
     code = main([command, "--problem", write_doc(tmp_path, doc)])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR

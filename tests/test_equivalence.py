@@ -26,10 +26,11 @@ def test_reduced_path_is_direct_for_invertible_linear_blocks():
     assert report.max_deviation <= 1e-10
 
 
-def test_reduced_path_falls_back_for_singular_blocks():
+def test_reduced_path_is_direct_for_singular_blocks():
+    # Zero has no inverse, but its graph pair (I, 0) makes the direct kernel the identity
     problem = dl.DrsProblem(A=dl.Zero(), B=dl.Zero())
     report = dl.compare_formulations(problem, [1.0, 2.0], iters=5)
-    assert report.reduced_path == dl.REDUCED_FALLBACK
+    assert report.reduced_path == dl.REDUCED_DIRECT
     assert report.max_deviation == 0.0
 
 
@@ -75,9 +76,9 @@ def test_reduced_leg_is_the_iterated_reduced_resolvent(catalog):
         problem, n = entry.problem, entry.dim
         system = dl.BlockSystem(problem.A, problem.B, problem.tau, n)
         try:
-            dl.coupling_gram(system)
+            dl.graph_pair(problem.A, n), dl.graph_pair(problem.B, n)
             expected_path, reduced_step = dl.REDUCED_DIRECT, dl.reduced_resolvent_direct
-        except dl.DrslabError:
+        except dl.NotLinear:
             expected_path, reduced_step = dl.REDUCED_FALLBACK, dl.reduced_resolvent_via_drs
         z0 = 2.0 * rng.standard_normal(n)
         trajs, path = dl.formulation_trajectories(problem, z0, iters=40)

@@ -162,6 +162,11 @@ def test_resolve_preserves_batch_layout():
     assert np.array_equal(out[0], single)
 
 
+def test_a_zero_dimensional_point_is_read_as_a_vector():
+    got = dl.resolve(dl.L1(1.0), 1.0, 2.5)
+    assert got.shape == (1,) and got[0] == 1.5
+
+
 def test_resolve_rejects_bad_tau_and_dim():
     with pytest.raises(ValueError):
         dl.resolve(dl.Zero(), 0.0, np.zeros(2))

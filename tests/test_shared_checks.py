@@ -75,8 +75,8 @@ NEARLY_SINGULAR = np.diag([1.0, -(2.0**-40)])
 # K = [I I]; an L of -K^T K makes L + K^T K the zero matrix
 K_SUM = np.hstack([np.eye(2)] * 2)
 
-# linear_matrix's text for an Inverse of a singular matrix, which every dense
-# path of blocks reaches through the catalog operator L
+# linear_matrix's text for an Inverse of a singular matrix, which every path
+# of blocks that assembles the catalog operator L reaches
 SINGULAR_INVERSE = "inverse of a singular matrix is a relation, not a map"
 
 
@@ -101,29 +101,20 @@ SITES = {
         lambda: _zero_block("A").lifted_matrix(), dl.NotLinear, SINGULAR_INVERSE, None),
     "gram_zero_block": (
         lambda: dl.coupling_gram(_zero_block("B")), dl.NotLinear, SINGULAR_INVERSE, None),
-    "reduced_direct_zero_block": (
-        lambda: dl.reduced_resolvent_direct(_zero_block("A"), np.ones(2)),
-        dl.NotLinear, SINGULAR_INVERSE, None),
     "reduced_fukushima_zero_block": (
         lambda: dl.reduced_resolvent_fukushima(_zero_block("B"), np.ones(2)),
         dl.NotLinear, SINGULAR_INVERSE, None),
-    "elimination_pair_zero_block": (
-        lambda: dl.elimination_pair(_zero_block("A")), dl.NotLinear, SINGULAR_INVERSE, None),
     "gram": (
         lambda: dl.coupling_gram(_quarter_turns()),
         dl.SingularSystem, "lifted block matrix L is singular", None),
     "reduced_direct": (
         lambda: dl.reduced_resolvent_direct(_identities(), np.ones(2)),
-        dl.SingularSystem, "I + K L^{-1} K^T is singular",
-        ("coupling_gram", lambda sys: -np.eye(sys.n))),
+        dl.SingularSystem, "the reduced graph system G is singular",
+        ("graph_pair", lambda op, n: (np.zeros((n, n)),) * 2 + (np.zeros(n),) * 2)),
     "reduced_fukushima": (
         lambda: dl.reduced_resolvent_fukushima(_identities(), np.ones(2)),
         dl.SingularSystem, "L + K^T K is singular",
         ("lifted_blocks", lambda sys: (-K_SUM.T @ K_SUM, K_SUM))),
-    "elimination_pair": (
-        lambda: dl.elimination_pair(_identities()),
-        dl.SingularSystem, "K L^{-1} K^T is singular; no elimination pair exists",
-        ("_gram", lambda L, K: np.zeros((2, 2)))),
     "classify_resolvent": (
         lambda: dl.classify_resolvent(np.zeros((2, 2))),
         dl.SingularMatrix, "resolvent matrix is singular", None),

@@ -155,6 +155,7 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.resolve(dl.Zero(), True, [1.0]), "'tau' must hold numbers, got true"),
     (lambda: dl.splitting_pass(dl.Zero(), dl.Zero(), None, [1.0]), "'tau' must hold numbers, got null"),
     (lambda: dl.L1(10**400), "'weight' must hold numbers in the float range, got a larger integer"),
+    (lambda: dl.L1(np.array([True])), "'weight' must hold numbers, got \"array([ True])\""),
     (lambda: problem(tau=10**400), "'tau' must hold numbers in the float range, got a larger integer"),
     # every array a caller hands a library function is read by operators._points
     (lambda: dl.run(problem(), [None]), "'z0' must hold numbers, got [null]"),
@@ -186,6 +187,7 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.sample_cycles(SKEW, 3, 10, "0"), "'seed' must hold numbers, got \"0\""),
     (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=True), "'dim' must hold numbers, got true"),
     (lambda: dl.graph_member(dl.Zero(), [0.0], [0.0], tol=True), "'tol' must hold numbers, got true"),
+    (lambda: dl.graph_member(dl.Zero(), [0.0], [0.0], tol=0.0), "tol must be positive, got 0.0"),
     (lambda: dl.drs_map_matrix(problem(), dim=True), "'dim' must hold numbers, got true"),
     (lambda: dl.drs_map_matrix(problem(), dim=2.5), "'dim' must be an integer, got 2.5"),
     # the documents of records, reports and classifications
@@ -250,6 +252,11 @@ EMPTY_RECORD = {"k": [], "z": np.zeros((0, 1)), "x": np.zeros((0, 1)), "w": np.z
     (lambda: dl.Box([], []), DimensionMismatch, "lo must have at least one coordinate, got shape (0,)"),
     (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=0), ValueError, "dim must be at least 1, got 0"),
     (lambda: dl.drs_map_matrix(problem(), dim=0), ValueError, "dim must be at least 1, got 0"),
+    # a vector or matrix of the wrong length or rank
+    (lambda: dl.AffineConstraint([[1.0, 0.0]], [0.0, 1.0]), DimensionMismatch,
+     "e has length 2 but E has 1 rows"),
+    (lambda: dl.skew_three_cycle([1.0, 2.0], [1.0], [1.0]), DimensionMismatch,
+     "C must be a matrix, got shape (2,)"),
     # no operator acts on R^0, nor has a block that does
     (lambda: dl.Block2x2(dl.Zero(), dl.Zero(), np.zeros((0, 0))), DimensionMismatch,
      "C must have at least one coordinate per block, got shape (0, 0)"),
