@@ -36,7 +36,6 @@ from .errors import (
     NotLinear,
     SingularMatrix,
     SingularSystem,
-    UnsupportedComposition,
     UnsupportedSampling,
     ZeroCoupling,
 )

@@ -21,12 +21,9 @@ class SingularMatrix(SingularSystem):
     """A matrix that had to be inverted is singular."""
 
 
-class UnsupportedComposition(DrslabError):
-    """Coupled-block resolvent needs linear-representable blocks."""
-
-
 class NotLinear(DrslabError):
-    """Operator or map has no matrix: not affine (no graph pair), offset, or multivalued."""
+    """Operator or map has no matrix: not affine (no graph pair, so no dense
+    resolvent either, coupled blocks included), offset, or multivalued."""
 
 
 class ZeroCoupling(DrslabError):

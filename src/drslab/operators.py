@@ -9,16 +9,19 @@ is the point: it lets the splitting identities implemented downstream be
 checked to near machine precision instead of to solver tolerance.
 
 Cost model.  The dense variants (``LinearRelation``, ``Quadratic`` and a
-coupled ``Block2x2``) invert ``I + tau*S`` once, on their first resolve at a
-given tau, and keep that one n x n matrix (n^2 floats) on the instance; a
-``Quadratic`` keeps ``tau*q`` beside it, in the same slot.  A resolve at the
-same tau is then a single product, and a resolve at a new tau replaces the
-kept slot.  ``Inverse`` resolves its inner operator at ``1/tau``, so calls
-through the Moreau identity share one matrix whenever ``1/(1/tau) == tau``
-in floating point.  ``AffineConstraint`` builds its projector once, at
-construction, and adds its offset to the product in place: a resolve of a row
-stack holds its result and numpy's buffer for the broadcast offset, not a
-second block for an out-of-place sum.
+coupled ``Block2x2``) share one kernel, ``_affine_resolve``: on their first
+resolve at a given tau it reads the operator's graph pair (P, Q, p, q),
+inverts ``P + tau*Q`` once and keeps R = P (P + tau*Q)^{-1} (n^2 floats) on
+the instance, with the offsets ``p + tau*q`` and ``p`` that are not zero, in
+one slot.  A resolve at the same tau is then a single product (plus one
+addition per kept offset), and a resolve at a new tau replaces the slot.
+A normal cone, a quadratic with an offset or a singular inverse in a
+coupled block thus resolves too.  ``Inverse`` resolves its inner operator
+at ``1/tau``, so calls through the Moreau identity share one matrix
+whenever ``1/(1/tau) == tau`` in floating point.  ``AffineConstraint``
+builds its projector once, at construction, and adds its offset to the
+product in place: a resolve of a row stack holds its result and numpy's
+buffer for the broadcast offset, not a second block for an out-of-place sum.
 
 At n <= 3 a resolve costs its numpy calls, not its flops, so the kernels use
 the cheapest entry points with the same bits: every product is the method
@@ -70,13 +73,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonMonotone,
-    NotLinear,
-    SingularSystem,
-    UnsupportedComposition,
-)
+from .errors import DimensionMismatch, NonMonotone, NotLinear, SingularSystem
 
 # Relative slack for the construction-time PSD checks, measured against
 # the largest absolute eigenvalue of the symmetric part.
@@ -209,23 +206,35 @@ def _linalg(fn, error, message, *args):
         raise error(message) from exc
 
 
-def _resolvent_matrix(op, tau, S, singular_message, *shift):
-    """Compute, keep and return the slot ``(tau, R, *shift)``, R the read-only
-    matrix (I + tau*S)^{-1}.
+def _affine_resolve(op, tau, X):
+    """The resolvent of an affine operator from its graph pair (P, Q, p, q):
+    the ``_resolve`` of ``LinearRelation`` and ``Quadratic``, bound as it is,
+    and of a coupled ``Block2x2``.
 
-    It is kept in the one slot ``op._resolvent``, which a dense ``_resolve``
-    reads itself and refills here only for a new tau; anything else that
-    depends on tau (a ``Quadratic`` keeps ``tau*q`` as ``shift``) is kept in
-    the same slot, so it cannot go stale apart from R.
-    ``singular_message`` may hold a ``{tau}`` field.
+    x = y + tau*u with (y, u) = (P xi + p, Q xi + q) gives
+    (P + tau*Q) xi = x - p - tau*q, so y = R (x - c) + p with
+    R = P (P + tau*Q)^{-1} and c = p + tau*q.  The slot ``op._resolvent`` =
+    (tau, R, c, p) is refilled, all of it and read-only, only for a new tau;
+    an offset that is zero is kept as None and costs no call.  n is read
+    from X, so a dimension-free operator keeps a slot for one width only.
     """
-    message = singular_message.format(tau=tau)
-    R = _linalg(np.linalg.inv, SingularSystem, message, np.eye(S.shape[0]) + tau * S)
-    for arr in (R, *shift):
-        arr.setflags(write=False)
-    kept = (tau, R, *shift)
-    object.__setattr__(op, "_resolvent", kept)
-    return kept
+    kept_tau, R, c, p = getattr(op, "_resolvent", (None,) * 4)
+    if kept_tau != tau:
+        P, Q, p, q = graph_pair(op, X.shape[-1])
+        message = f"P + tau*Q of the {type(op).__name__} graph pair is singular for tau={tau}"
+        R = _linalg(np.linalg.inv, SingularSystem, message, P + tau * Q)
+        # into the inverse's own buffer: a fresh one for P @ R measured dense_linear's
+        # op_ms_p90 about 10% worse (n = 200, 2-CPU Xeon), a heap-layout effect
+        np.matmul(P, R, out=R)
+        c = p + tau * q
+        for arr in (R, c, p):
+            arr.setflags(write=False)
+        c, p = (c if np.any(c) else None), (p if np.any(p) else None)
+        object.__setattr__(op, "_resolvent", (tau, R, c, p))
+    Y = (X if c is None else X - c).dot(R.T)
+    if p is not None:
+        Y += p
+    return Y
 
 
 def _norm(v):
@@ -421,11 +430,7 @@ class LinearRelation(MonotoneOperator):
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "dim", M.shape[0])
 
-    def _resolve(self, tau, X):
-        kept_tau, R = getattr(self, "_resolvent", (None, None))
-        if kept_tau != tau:
-            _, R = _resolvent_matrix(self, tau, self.M, "I + tau*M is singular for tau={tau}")
-        return X.dot(R.T)
+    _resolve = _affine_resolve
 
     def _graph_residual(self, y, u):
         return _norm(self.M.dot(y) - u)
@@ -460,13 +465,7 @@ class Quadratic(MonotoneOperator):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "dim", Q.shape[0])
 
-    def _resolve(self, tau, X):
-        kept_tau, R, shift = getattr(self, "_resolvent", (None, None, None))
-        if kept_tau != tau:
-            _, R, shift = _resolvent_matrix(
-                self, tau, self.Q, "I + tau*Q is singular for tau={tau}", tau * self.q
-            )
-        return (X - shift).dot(R.T)
+    _resolve = _affine_resolve
 
     def _graph_residual(self, y, u):
         return _norm(self.Q.dot(y) + self.q - u)
@@ -594,8 +593,8 @@ class Block2x2(MonotoneOperator):
 
     with A acting on R^{n1}, B on R^{n2} and C of shape (n2, n1).  With
     C = 0 the resolvent splits into the blockwise resolvents; otherwise it
-    is the dense product (I + tau*S)^{-1} x and requires both A and B to be
-    linear-representable, anything else raises UnsupportedComposition.
+    is read from the graph pair of S, so both blocks must be affine
+    (singular or with an offset too), else ``graph_pair`` raises NotLinear.
     """
 
     A: MonotoneOperator
@@ -629,22 +628,13 @@ class Block2x2(MonotoneOperator):
         object.__setattr__(self, "is_subdifferential", blockwise and not self._coupled)
 
     def _resolve(self, tau, X):
-        if not self._coupled:
-            # zero coupling: the block system splits exactly
-            n1 = self.n1
-            left = self.A._resolve(tau, X[..., :n1])
-            right = self.B._resolve(tau, X[..., n1:])
-            return np.concatenate([left, right], axis=-1)
-        kept_tau, R = getattr(self, "_resolvent", (None, None))
-        if kept_tau != tau:
-            try:
-                S = linear_matrix(self, self.dim)
-            except NotLinear as exc:
-                raise UnsupportedComposition(
-                    "coupled resolvent needs linear-representable blocks"
-                ) from exc
-            _, R = _resolvent_matrix(self, tau, S, "coupled block system is singular")
-        return X.dot(R.T)
+        if self._coupled:
+            return _affine_resolve(self, tau, X)
+        # zero coupling: the block system splits exactly
+        n1 = self.n1
+        left = self.A._resolve(tau, X[..., :n1])
+        right = self.B._resolve(tau, X[..., n1:])
+        return np.concatenate([left, right], axis=-1)
 
     def _graph_residual(self, y, u):
         n1 = self.n1
@@ -753,10 +743,20 @@ def graph_member(op, y, u, tol=1e-8):
 
 
 def moreau_residual(op, tau, x):
-    """Defect of the identity J(tau, x) + tau * J_inv(1/tau, x/tau) = x."""
+    """Defect of the identity J(tau, x) + tau * J_inv(1/tau, x/tau) = x.
+
+    For an affine op, J_inv is read from the swapped graph pair, so a wrong
+    J shows; only an op with no graph pair (``L1``, ``Box``) takes J_inv
+    through the Moreau identity, which the residual cannot check.  The
+    ``Inverse`` is fresh on each call: it keeps its slot for one width.
+    """
     tau, x = _check_tau(tau), _points(x, "x")
     p = resolve(op, tau, x)
-    q = resolve(Inverse(op), 1.0 / tau, x / tau)
+    inverse, inv_tau, y = Inverse(op), _check_tau(1.0 / tau), x / tau
+    try:
+        q = _affine_resolve(inverse, inv_tau, y)
+    except NotLinear:
+        q = inverse._resolve(inv_tau, y)
     return float(np.linalg.norm(p + tau * q - x))
 
 

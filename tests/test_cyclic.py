@@ -224,7 +224,7 @@ def test_sample_cycles_block_coupling_sampled_blockwise():
 def test_sample_cycles_block_with_prox_blocks():
     # blockwise sampling works even though the coupled resolvent does not
     op = dl.Block2x2(dl.L1(1.0), dl.Box([-1.0], [1.0]), np.array([[1.0]]))
-    with pytest.raises(dl.UnsupportedComposition):
+    with pytest.raises(dl.NotLinear, match="^L1 is not affine"):
         dl.resolve(op, 1.0, np.zeros(2))
     witness = dl.sample_cycles(op, n_max=6, trials=2000, seed=11)
     assert witness is not None and witness.certifies

@@ -96,3 +96,46 @@ def test_drs_map_matrix_refuses_an_affine_map(op):
     with pytest.raises(dl.NotLinear, match="^splitting map is affine, not linear: it moves 0 by "):
         dl.drs_map_matrix(problem, dim=2)
 
+
+
+# coupled blocks whose blocks have no matrix: a normal cone (with and without
+# an offset), a quadratic with an offset and the inverse of a singular map
+COUPLED = {
+    "normal_cone": dl.Block2x2(dl.AffineConstraint([[1.0, 1.0]], [0.0]), dl.ScaledIdentity(1.0), [[1.0, 0.0]]),
+    "normal_cone_offset": dl.Block2x2(dl.AffineConstraint([[1.0, 1.0]], [2.0]), dl.ScaledIdentity(1.0),
+                                      [[1.0, 0.0]]),
+    "quadratic_offset": dl.Block2x2(dl.Quadratic([[2.0]], [1.0]), dl.ScaledIdentity(1.0), [[1.0]]),
+    "inverse_zero": dl.Block2x2(dl.Inverse(dl.Zero()), dl.ScaledIdentity(1.0), [[1.0]]),
+}
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("name", sorted(COUPLED))
+def test_a_coupled_block_without_a_matrix_resolves_on_its_graph(name, tau):
+    op = COUPLED[name]
+    X = 3.0 * np.random.default_rng(79).standard_normal((5, op.dim))
+    for x, p in [(X[0], dl.resolve(op, tau, X[0])), *zip(X, dl.resolve(op, tau, X))]:
+        assert dl.graph_residual(op, p, (x - p) / tau) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED))
+def test_a_coupled_block_without_a_matrix_takes_the_direct_reduced_path(name):
+    op = COUPLED[name]
+    z0 = np.random.default_rng(83).standard_normal(op.dim)
+    report = dl.compare_formulations(dl.DrsProblem(op, dl.Zero()), z0, 20)
+    assert report.reduced_path == dl.REDUCED_DIRECT
+    assert report.max_deviation <= 1e-10
+
+
+def test_moreau_residual_sees_a_wrong_affine_resolvent(monkeypatch):
+    op = dl.AffineConstraint([[1.0, 1.0]], [0.0])
+    x = np.array([0.5, -1.5])
+    assert dl.moreau_residual(op, 0.7, x) <= 1e-12
+    monkeypatch.setattr(dl.AffineConstraint, "_resolve", lambda self, tau, X: 7.0 * X + 3.0)
+    assert dl.moreau_residual(op, 0.7, x) > 1.0
+
+
+def test_moreau_residual_takes_a_dimension_free_operator_at_any_width():
+    for op in (dl.Zero(), dl.ScaledIdentity(2.0)):
+        for n in (2, 3, 2):
+            assert dl.moreau_residual(op, 0.7, np.ones(n)) <= 1e-15

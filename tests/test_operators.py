@@ -144,7 +144,7 @@ def test_block2x2_resolvent_satisfies_coupled_inclusion():
 
 def test_block2x2_prox_blocks_resolvent_unsupported():
     op = dl.Block2x2(dl.L1(1.0), dl.Zero(), np.array([[1.0]]))
-    with pytest.raises(dl.UnsupportedComposition):
+    with pytest.raises(dl.NotLinear, match="^L1 is not affine"):
         dl.resolve(op, 1.0, np.zeros(2))
 
 

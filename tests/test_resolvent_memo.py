@@ -106,27 +106,38 @@ def test_moreau_identity_with_warm_slot(name, op, dim, tau, seed):
     assert dl.moreau_residual(op, tau, x) <= 1e-10
 
 
+# p = 0 and c = tau*q; p and c both nonzero, on a normal cone in a coupled block
+KEPT_OFFSETS = (
+    next(op for name, op in DENSE if name == "quadratic"),
+    dl.Block2x2(dl.AffineConstraint([[1.0, 1.0]], [2.0]), dl.ScaledIdentity(1.0), [[1.0, 0.0]]),
+)
+
+
+@pytest.mark.parametrize("op", KEPT_OFFSETS, ids=["quadratic", "affine_block"])
 @settings(max_examples=25, deadline=None)
 @given(tau1=taus, tau2=taus)
-def test_new_tau_refreshes_the_kept_matrix_and_shift_together(tau1, tau2):
-    op = next(op for name, op in DENSE if name == "quadratic")
+def test_new_tau_refreshes_the_kept_matrix_and_shift_together(op, tau1, tau2):
+    P, Q, p, q = dl.graph_pair(op, op.dim)
     for tau in (tau1, tau2, tau1):
         dl.resolve(op, tau, np.ones(op.dim))
-        kept_tau, R, shift = op._resolvent
+        kept_tau, R, kept_c, kept_p = op._resolvent
         assert kept_tau == tau
-        assert shift.tobytes() == (tau * op.q).tobytes()
-        with pytest.raises(ValueError):
-            shift[0] = 0.0
-        n = R.shape[0]
-        assert np.max(np.abs(R @ (np.eye(n) + tau * op.Q) - np.eye(n))) <= 1e-12
+        assert kept_c.tobytes() == (p + tau * q).tobytes()
+        # a zero offset is not kept
+        assert kept_p is None if not np.any(p) else kept_p.tobytes() == p.tobytes()
+        for arr in (R, kept_c, kept_p)[: 2 if kept_p is None else 3]:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.max(np.abs(R @ (P + tau * Q) - P)) <= 1e-12
 
 
 def test_singular_factor_raises_every_time_and_is_not_kept():
     M = np.diag([1.0, -(2.0**-40)])  # monotone within TOL_PSD
     tau = 2.0**40  # I + tau*M has an exact zero pivot
-    for op, what in ((dl.LinearRelation(M), "M"), (dl.Quadratic(M, [0.0, 0.0]), "Q")):
+    for op in (dl.LinearRelation(M), dl.Quadratic(M, [0.0, 0.0])):
+        message = rf"^P \+ tau\*Q of the {type(op).__name__} graph pair is singular for tau=1099511627776.0$"
         for _ in range(2):
-            with pytest.raises(dl.SingularSystem, match=rf"I \+ tau\*{what} is singular"):
+            with pytest.raises(dl.SingularSystem, match=message):
                 dl.resolve(op, tau, np.ones(2))
         assert not hasattr(op, "_resolvent")
         assert_matches_reference(op, 1.0, np.ones(2))
@@ -135,5 +146,5 @@ def test_singular_factor_raises_every_time_and_is_not_kept():
 def test_coupled_nonlinear_block_raises_on_every_resolve():
     op = dl.Block2x2(dl.L1(1.0), dl.Zero(), np.array([[1.0]]))
     for tau in (1.0, 1.0, 2.0):
-        with pytest.raises(dl.UnsupportedComposition, match="linear-representable blocks"):
+        with pytest.raises(dl.NotLinear, match="^L1 is not affine: it has no graph pair$"):
             dl.resolve(op, tau, np.zeros(2))

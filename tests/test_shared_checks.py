@@ -90,7 +90,8 @@ def _zero_block(side):
 SITES = {
     "resolvent_matrix": (
         lambda: dl.resolve(dl.LinearRelation(NEARLY_SINGULAR), 2.0**40, np.ones(2)),
-        dl.SingularSystem, "I + tau*M is singular for tau=1099511627776.0", None),
+        dl.SingularSystem,
+        "P + tau*Q of the LinearRelation graph pair is singular for tau=1099511627776.0", None),
     "linear_matrix_inverse": (
         lambda: linear_matrix(dl.Inverse(dl.Zero()), 2), dl.NotLinear, SINGULAR_INVERSE, None),
     "lifted_blocks_A": (
