@@ -127,7 +127,10 @@ def _direct_kernel(sys):
     n, tau, r, eye = sys.n, sys.tau, sys.root_tau, np.eye(sys.n)
     (PA, QA, pA, qA), (PB, QB, pB, qB) = graph_pair(sys.A, n), graph_pair(sys.B, n)
     G = np.block([[PB, -tau * QA, -r * eye], [tau * QB, PA, -r * eye], [r * QB, r * QA, eye]])
-    rows = _linalg(np.linalg.inv, SingularSystem, "the reduced graph system G is singular", G)[2 * n :]
+    inv = _linalg(np.linalg.inv, SingularSystem, "the reduced graph system G is singular", G)
+    # only the n x 3n bottom rows are kept, not the whole inverse; R keeps the
+    # strides, so the bits, of a view of it (a contiguous R moves them)
+    rows = inv[2 * n :].copy()
     shift = rows.dot(np.concatenate([tau * qA - pB, -tau * qB - pA, -r * (qB + qA)]))
     R = rows[:, 2 * n :]
     return lambda V: V.dot(R.T) + shift

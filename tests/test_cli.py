@@ -643,6 +643,26 @@ def test_moreau_check_problem_pair(tmp_path, capsys):
     assert payload["ok"] is True
 
 
+def test_moreau_check_inverts_once_per_operator_whatever_the_trials(tmp_path, capsys, monkeypatch):
+    doc = {"A": {"type": "linear", "M": [[1.0, -3.0], [3.0, 0.25]]},
+           "B": {"type": "prox_quadratic", "Q": [[2.0, 0.5], [0.5, 1.0]], "q": [1.0, -1.0]}}
+    path = write_doc(tmp_path, doc)
+    inv, calls = np.linalg.inv, []
+
+    def counted_inv(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    counts = []
+    for trials in ("1", "40"):
+        calls.clear()
+        assert main(["moreau-check", "--problem", path, "--trials", trials]) == EXIT_OK
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts == [4, 4]  # J_A, J_B and the swapped pairs of A and B
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

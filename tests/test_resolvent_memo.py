@@ -1,12 +1,15 @@
 """Factor-once resolvents: the kept matrix against independent references."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from helpers import operator_zoo
+from drslab.blocks import _direct_kernel
+from helpers import monotone_matrix, operator_zoo, spd_matrix
 
 # One shared zoo, so kept matrices carry over from one example to the next
 # and every example also exercises a slot left behind at another tau.
@@ -148,3 +151,45 @@ def test_coupled_nonlinear_block_raises_on_every_resolve():
     for tau in (1.0, 1.0, 2.0):
         with pytest.raises(dl.NotLinear, match="^L1 is not affine: it has no graph pair$"):
             dl.resolve(op, tau, np.zeros(2))
+
+
+# Kept matrices start on a 64-byte boundary, a cache line: a product with one
+# 16 bytes off a 32-byte boundary is slower at BLAS sizes, with the same bits.
+RNG_200 = np.random.default_rng(200)
+LARGE = (
+    ("linear_200", dl.LinearRelation(monotone_matrix(RNG_200, 200))),
+    ("quadratic_200", dl.Quadratic(spd_matrix(RNG_200, 200), RNG_200.standard_normal(200))),
+)
+ALIGNED = (*DENSE, *LARGE, ("affine_block", KEPT_OFFSETS[1]))
+
+
+def kept_matrix(op, tau):
+    """The matrix op keeps after a resolve at tau, from its own slot or, for an
+    Inverse, from the slot of the operator it inverts."""
+    dl.resolve(op, tau, np.ones(op.dim))
+    holder = op.inner if isinstance(op, dl.Inverse) else op
+    return holder._resolvent[1]
+
+
+@pytest.mark.parametrize("name, op", ALIGNED, ids=[name for name, _ in ALIGNED])
+def test_kept_matrix_starts_on_a_cache_line(name, op):
+    for tau in (0.7, 2.5, 0.7):  # 2.5 and the second 0.7 refill the slot
+        R = kept_matrix(op, tau)
+        assert R.ctypes.data % 64 == 0
+        assert R.flags.c_contiguous and not R.flags.writeable
+
+
+def test_affine_projector_starts_on_a_cache_line():
+    for E in ([[1.0, 1.0]], np.random.default_rng(5).standard_normal((3, 200))):
+        projector = dl.AffineConstraint(E, np.zeros(len(E)))._projector
+        assert projector.ctypes.data % 64 == 0
+        assert projector.flags.c_contiguous and not projector.flags.writeable
+
+
+def test_direct_kernel_keeps_only_the_bottom_rows_of_the_inverse():
+    n = 5
+    A, B = dl.LinearRelation(monotone_matrix(RNG_200, n)), dl.Quadratic(np.eye(n), np.ones(n))
+    system = dl.BlockSystem(A, B, 0.8, n)
+    R = inspect.getclosurevars(_direct_kernel(system)).nonlocals["R"]
+    assert R.shape == (n, n)
+    assert R.base.shape == (n, 3 * n) and R.base.base is None
