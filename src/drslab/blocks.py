@@ -117,6 +117,8 @@ def coupling_gram(sys):
 def _drs_kernel(sys):
     """v -> one unchecked splitting step at z = sqrt(tau) * v, rescaled back."""
     A, B, tau, rt = sys.A, sys.B, sys.tau, sys.root_tau
+    if rt == 1.0:  # both rescalings are exact copies
+        return lambda V: _splitting_rows(A, B, tau, V)[0]
     return lambda V: _splitting_rows(A, B, tau, rt * V)[0] / rt
 
 

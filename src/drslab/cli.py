@@ -33,7 +33,7 @@ from .drs import (
     solution_certificate,
 )
 from .equivalence import compare_formulations
-from .errors import DrslabError
+from .errors import DimensionMismatch, DrslabError
 from .operators import Inverse, _integer, _moreau_defect, _numbers, _scalar, operator_from_dict
 
 EXIT_OK = 0
@@ -102,20 +102,32 @@ def _build_problem(args, doc):
     return DrsProblem(A, B, **settings)
 
 
+def _file_dim(doc, what, n):
+    """The dimension n that ``what`` fixes, else the file's dim key, else None;
+    DimensionMismatch when the key is given and disagrees with n."""
+    if "dim" not in doc:
+        return n
+    dim = _number(_integer, None, doc, "dim", None)
+    if n is not None and dim != n:
+        raise DimensionMismatch(f"dim={dim} conflicts with {what} {n}")
+    return dim
+
+
 def _problem_dim(problem, doc):
+    """z0's length, else the operators' dimension, else the file's dim key;
+    the key must agree with the first of the other two that is given."""
     if "z0" in doc:
-        return len(_vector(doc, "z0"))
-    if problem.dim is not None:
-        return problem.dim
-    if "dim" in doc:
-        return _number(_integer, None, doc, "dim", None)
-    raise CliError("dimension cannot be inferred; add a 'dim' or 'z0' key")
+        n = _file_dim(doc, "z0 length", len(_vector(doc, "z0")))
+    else:
+        n = _file_dim(doc, "problem dimension", problem.dim)
+    if n is None:
+        raise CliError("dimension cannot be inferred; add a 'dim' or 'z0' key")
+    return n
 
 
 def _start_point(problem, doc):
-    if "z0" not in doc:
-        return np.zeros(_problem_dim(problem, doc))
-    return _start_vector(problem, doc["z0"])
+    n = _problem_dim(problem, doc)
+    return _start_vector(problem, doc["z0"]) if "z0" in doc else np.zeros(n)
 
 
 def _emit(args, text):
@@ -164,10 +176,8 @@ def cmd_run_drs(args):
 def cmd_check_equivalence(args):
     doc = _load_document(args.problem)
     problem = _build_problem(args, doc)
-    if "z0" in doc:
-        z0 = _vector(doc, "z0")
-    else:
-        z0 = np.random.default_rng(problem.seed).standard_normal(_problem_dim(problem, doc))
+    n = _problem_dim(problem, doc)
+    z0 = _vector(doc, "z0") if "z0" in doc else np.random.default_rng(problem.seed).standard_normal(n)
     iters = {} if args.iters is None else {"iters": args.iters}
     report = compare_formulations(problem, z0, **iters)
     _emit_json(args, report.to_dict())
@@ -251,7 +261,8 @@ def cmd_moreau_check(args):
     rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
     per_op = {}
     for key, op in named:
-        d = op.dim if op.dim is not None else _number(_integer, None, doc, "dim", 1)
+        d = _file_dim(doc, "operator dimension", op.dim)
+        d = 1 if d is None else d
         inverse = Inverse(op)  # one inversion of the swapped graph pair for all trials
         residuals = [_moreau_defect(op, inverse, tau, rng.standard_normal(d)) for _ in range(args.trials)]
         per_op[key] = max(residuals)

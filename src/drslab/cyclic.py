@@ -16,10 +16,12 @@ after any number of trials proves nothing.
 
 Memory.  The search holds three working blocks of about ``_BLOCK_ROWS``
 graph points: the draw W, which the values u overwrite, the points p, and
-the cyclic differences.  Nothing else of block size stays alive: a coupled
-``Block2x2`` samples each column block on a contiguous copy of its columns
-and writes the result back by assignment, because numpy buffers each
-strided operand of a ufunc (up to 8,192 elements, 64 KB, each).
+the cyclic differences, formed in place in a copy of p rotated by one
+position (``np.concatenate`` of two slices: the copy ``np.roll`` makes,
+without its index handling).  Nothing else of block size stays alive: a
+coupled ``Block2x2`` samples each column block on a contiguous copy of its
+columns and writes the result back by assignment, because numpy buffers
+each strided operand of a ufunc (up to 8,192 elements, 64 KB, each).
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
             P, U = _graph_points(op, rng.standard_normal((m * n, d)))
             P = P.reshape(m, n, d)
             U = U.reshape(m, n, d)
-            D = np.roll(P, -1, axis=1)
+            D = np.concatenate((P[:, 1:], P[:, :1]), axis=1)
             D -= P
             sums = np.einsum("tnd,tnd->t", D, U)
             hits = np.nonzero(sums > TOL_VIOLATION)[0]

@@ -582,6 +582,9 @@ class Inverse(MonotoneOperator):
     scaled Moreau identity
 
         J(tau, x) = x - tau * J_inner(1/tau, x/tau).
+
+    At tau = 1 both scalings are exact, so x itself goes to the inner
+    resolvent and its result is subtracted unscaled, with the same bits.
     """
 
     inner: MonotoneOperator
@@ -596,6 +599,8 @@ class Inverse(MonotoneOperator):
         object.__setattr__(self, "is_subdifferential", self.inner.is_subdifferential)
 
     def _resolve(self, tau, X):
+        if tau == 1.0:
+            return X - self.inner._resolve(1.0, X)
         return X - tau * self.inner._resolve(1.0 / tau, X / tau)
 
     def _graph_residual(self, y, u):

@@ -19,6 +19,10 @@ auxiliary, and z+ depends on the incoming state through z alone.
 The two resolvents are those of the diagonal blocks of ``system.L``, which
 the system builds once.  ``PpaSystem`` is ``blocks.BlockSystem``, the system
 type of the reduced paths.
+
+At tau = 1 the step forms neither z/tau nor tau*(s+ + u+), and the inner
+resolves take their own unit-step shortcut (``operators.Inverse``): dividing
+or multiplying by 1.0 is exact, so the bits are those of the formula above.
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ def initial_state(sys, z0):
 def _lifted_rows(L, tau, Z):
     """The lifted update, from L.A = B^{-1} and L.B = A^{-1}, on a point z or a row
     stack Z of them, without input checks; returns (u+, s+, z+) in Z's layout."""
-    W = Z / tau
+    W = Z if tau == 1.0 else Z / tau
     U = L.A._resolve(1.0 / tau, W)
     S = L.B._resolve(1.0 / tau, W - (U + U))  # U + U: exact, the bits of 2.0*U
-    return U, S, Z - tau * (S + U)
+    step = S + U
+    return U, S, Z - (step if tau == 1.0 else tau * step)
 
 
 def ppa_step(sys, state):

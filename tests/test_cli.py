@@ -28,6 +28,8 @@ IDENTITY_PAIR = {
     "dim": 1,
 }
 
+ZERO_PAIR = {"A": {"type": "zero"}, "B": {"type": "zero"}}
+
 
 def write_doc(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
@@ -209,6 +211,25 @@ def test_null_dim_exits_one(tmp_path, capsys, command, doc):
     assert captured.err == "error: 'dim' must hold numbers, got null\n"
 
 
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        ("run-drs", dict(SKEW, dim=7), "dim=7 conflicts with problem dimension 2"),
+        ("check-equivalence", dict(ZERO_PAIR, dim=2, z0=[1.0, 2.0, 3.0]), "dim=2 conflicts with z0 length 3"),
+        ("classify-resolvent", dict(SKEW, dim=3), "dim=3 conflicts with problem dimension 2"),
+        ("moreau-check", {"op": SKEW["A"], "dim": 5}, "dim=5 conflicts with operator dimension 2"),
+    ],
+)
+def test_conflicting_dim_exits_one(tmp_path, capsys, command, doc, err):
+    # a dim key that disagrees with what else fixes the dimension is refused,
+    # not ignored in favour of the other dimension
+    code = main([command, "--problem", write_doc(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.err == f"error: DimensionMismatch: {err}\n"
+    assert captured.out == ""
+
+
 def test_unhashable_operator_tag_exits_one(tmp_path, capsys):
     path = write_doc(tmp_path, {"A": {"type": []}, "B": {"type": "zero"}, "z0": [1.0]})
     code = main(["run-drs", "--problem", path])
@@ -223,9 +244,6 @@ def test_unparsable_setting_keeps_its_message(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert captured.err == "error: 'tau' must hold numbers, got \"abc\"\n"
-
-
-ZERO_PAIR = {"A": {"type": "zero"}, "B": {"type": "zero"}}
 
 
 @pytest.mark.parametrize(
