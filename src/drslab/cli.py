@@ -32,7 +32,7 @@ from .drs import (
     run,
     solution_certificate,
 )
-from .equivalence import compare_formulations
+from .equivalence import _worst_deviation, compare_formulations
 from .errors import DimensionMismatch, DrslabError
 from .operators import Inverse, _integer, _moreau_defect, _numbers, _scalar, operator_from_dict
 
@@ -183,8 +183,8 @@ def cmd_check_equivalence(args):
     _emit_json(args, report.to_dict())
     ok = report.max_deviation <= EQUIVALENCE_TOL
     _say(
-        f"max deviation {report.max_deviation:.3e} over {report.iters} iterations "
-        f"(reduced path: {report.reduced_path})"
+        f"max deviation {report.max_deviation:.3e} over {report.iters} iterations, largest one-step "
+        f"defect {_worst_deviation(report.step_defects.values()):.3e} (reduced path: {report.reduced_path})"
     )
     return EXIT_OK if ok else EXIT_ERROR
 

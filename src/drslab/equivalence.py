@@ -1,20 +1,27 @@
-"""Side-by-side iteration of the three equivalent splitting forms.
+"""Side-by-side check of the three equivalent splitting forms.
 
 The classical recursion, the lifted 4-variable proximal-point form, and
-the reduced resolvent in v = z / sqrt(tau) coordinates realize the same
-z-trajectory.  ``compare_formulations`` runs all three from one start
-and reports the largest pairwise deviation over the whole trajectory.
+the reduced resolvent in v = z / sqrt(tau) coordinates are one map T.
+``compare_formulations`` iterates the recursion from one start, one point
+at a time, then applies each other form once to the row stack of its points
+z_k.  Per pair it reports the one-step defects delta_k, the 2-norms of the
+differences of the two images of z_k: the largest (``step_defects``, the
+paper's per-step claim) and their sum (``pairwise``).  T is nonexpansive,
+so the sum bounds, up to rounding, how far the two forms drift apart when
+each is iterated on its own, which ``formulation_trajectories`` does: the
+independent reference.
 
-The reduced leg iterates ``blocks``' direct kernel, the one
+The reduced leg applies ``blocks``' direct kernel, the one
 ``reduced_resolvent_direct`` applies, whenever both operators are affine,
 singular ones included (a genuinely independent computation: one inverse of
 the system of their graph pairs).  Only an operator with no graph pair
-(``L1``, ``Box``) makes it raise NotLinear; then the leg iterates the recursion
+(``L1``, ``Box``) makes it raise NotLinear; then the leg applies the recursion
 rescaled, ``reduced_resolvent_via_drs``'s kernel, and ``reduced_path`` says so.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -34,12 +41,14 @@ REDUCED_FALLBACK = "drs"
 
 
 class EquivalenceReport(Document):
-    """Pairwise trajectory deviations between the three formulations, and
-    ``max_deviation``, the worst of them, derived and written to the document."""
+    """Per pair of formulations, the drift bound (``pairwise``, the sum of the
+    one-step defects) and the largest one-step defect (``step_defects``), and
+    ``max_deviation``, the worst drift bound, derived and written to the document."""
 
     iters: int
     reduced_path: str
     pairwise: dict
+    step_defects: dict
 
     _written = ("max_deviation",)
 
@@ -47,11 +56,14 @@ class EquivalenceReport(Document):
         object.__setattr__(self, "iters", _integer(self.iters, "iters"))
         if self.reduced_path not in (REDUCED_DIRECT, REDUCED_FALLBACK):
             raise ValueError(f"unknown reduced_path {self.reduced_path!r}")
-        if not isinstance(self.pairwise, dict):
-            raise ValueError(f"pairwise must map pair names to numbers, got {self.pairwise!r}")
-        pairwise = {pair: _scalar(dev, pair) for pair, dev in self.pairwise.items()}
-        object.__setattr__(self, "pairwise", pairwise)
-        object.__setattr__(self, "max_deviation", _worst_deviation(pairwise.values()))
+        for name in ("pairwise", "step_defects"):
+            devs = getattr(self, name)
+            if not isinstance(devs, dict):
+                raise ValueError(f"{name} must map pair names to numbers, got {devs!r}")
+            object.__setattr__(self, name, {pair: _scalar(dev, pair) for pair, dev in devs.items()})
+        if self.step_defects.keys() != self.pairwise.keys():
+            raise ValueError(f"step_defects must name the pairs of pairwise, got {list(self.step_defects)}")
+        object.__setattr__(self, "max_deviation", _worst_deviation(self.pairwise.values()))
 
 
 def _worst_deviation(devs):
@@ -68,14 +80,9 @@ def _trajectory(step, z0, iters):
     return zs
 
 
-def formulation_trajectories(problem, z0, iters):
-    """z-trajectories (iters+1 rows each) of the three formulations.
-
-    Returns (trajectories, reduced_path) where trajectories maps the
-    formulation name to an array of shape (iters+1, n) starting at z0.
-    Only the unrelaxed map is compared: a problem with gamma != 1 raises
-    ValueError until the three relaxed legs exist.
-    """
+def _recursion(problem, z0, iters):
+    """The checked inputs' recursion z-trajectory (iters+1 rows from z0), block
+    system, and reduced path with its kernel in v coordinates."""
     if problem.gamma != 1.0:
         raise ValueError(
             f"relaxed legs are not implemented: the formulations are compared at gamma = 1, "
@@ -87,36 +94,47 @@ def formulation_trajectories(problem, z0, iters):
         raise ValueError(f"iters must be at least 1, got {iters}")
     system = BlockSystem(problem.A, problem.B, problem.tau, z0.shape[0])
     A, B, tau = problem.A, problem.B, problem.tau
-
-    # classical recursion (unrelaxed), on the drs kernel
     zs = _trajectory(lambda Z: _splitting_rows(A, B, tau, Z)[0], z0, iters)
+    try:
+        return zs, system, REDUCED_DIRECT, _direct_kernel(system)
+    except NotLinear:
+        return zs, system, REDUCED_FALLBACK, _drs_kernel(system)
 
+
+def formulation_trajectories(problem, z0, iters):
+    """z-trajectories (iters+1 rows each) of the three formulations, each iterated
+    on its own from z0.
+
+    Returns (trajectories, reduced_path) where trajectories maps the
+    formulation name to an array of shape (iters+1, n) starting at z0.
+    Only the unrelaxed map is compared, here and in ``compare_formulations``:
+    a problem with gamma != 1 raises ValueError until the relaxed legs exist.
+    """
+    zs, system, reduced_path, kernel = _recursion(problem, z0, iters)
+    z0, iters, tau, rt = zs[0], len(zs) - 1, system.tau, system.root_tau
     # lifted 4-variable form, z component, on the ppa kernel and the system's L
     zl = _trajectory(lambda Z: _lifted_rows(system.L, tau, Z)[2], z0, iters)
-
     # reduced form, iterated in v coordinates and scaled back to z
-    try:
-        reduced_path, reduced_step = REDUCED_DIRECT, _direct_kernel(system)
-    except NotLinear:
-        reduced_path, reduced_step = REDUCED_FALLBACK, _drs_kernel(system)
-    rt = system.root_tau
-    zr = rt * _trajectory(reduced_step, z0 / rt, iters)
+    zr = rt * _trajectory(kernel, z0 / rt, iters)
     zr[0] = z0
-
     return {RECURSION: zs, LIFTED: zl, REDUCED: zr}, reduced_path
 
 
 def compare_formulations(problem, z0, iters=100):
-    """Run the three formulations and report the max pairwise deviation.
+    """The one-step defects of the three formulations at the recursion's points.
 
-    The maximum is NaN when any pairwise deviation is not finite, so a
-    trajectory that overflows or starts at NaN never reads as agreement.
+    A pair with any non-finite defect reads NaN in both ``pairwise`` and
+    ``step_defects``, so a trajectory that overflows or starts at NaN never
+    reads as agreement.
     """
-    trajs, reduced_path = formulation_trajectories(problem, z0, iters)
-    names = (RECURSION, LIFTED, REDUCED)
-    pairwise = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            dev = float(np.max(np.linalg.norm(trajs[a] - trajs[b], axis=1)))
-            pairwise[f"{a}-{b}"] = dev
-    return EquivalenceReport(iters, reduced_path, pairwise)
+    zs, system, reduced_path, kernel = _recursion(problem, z0, iters)
+    Z, rt = zs[:-1], system.root_tau
+    images = {RECURSION: zs[1:], LIFTED: _lifted_rows(system.L, system.tau, Z)[2],
+              REDUCED: rt * kernel(Z / rt)}
+    pairwise, step_defects = {}, {}
+    for a, b in itertools.combinations(images, 2):
+        deltas = np.linalg.norm(images[a] - images[b], axis=1)
+        if not np.isfinite(deltas).all():
+            deltas = np.array([math.nan])  # both readings NaN
+        pairwise[f"{a}-{b}"], step_defects[f"{a}-{b}"] = float(deltas.sum()), float(deltas.max())
+    return EquivalenceReport(len(Z), reduced_path, pairwise, step_defects)

@@ -401,11 +401,13 @@ def test_check_equivalence_direct_path(tmp_path, capsys):
     payload = json.loads(captured.out)
     assert payload["reduced_path"] == "direct"
     assert payload["iters"] == 60
-    assert set(payload["pairwise"]) == {
+    assert set(payload["pairwise"]) == set(payload["step_defects"]) == {
         "recursion-lifted",
         "recursion-reduced",
         "lifted-reduced",
     }
+    assert max(payload["step_defects"].values()) <= 1e-15
+    assert "largest one-step defect" in captured.err
 
 
 def test_check_equivalence_iters_is_its_trajectory_length_not_an_iteration_cap(tmp_path, capsys):

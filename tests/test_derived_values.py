@@ -77,7 +77,7 @@ def classified(M):
 
 
 def report(pairwise):
-    return dl.EquivalenceReport(1, dl.REDUCED_FALLBACK, pairwise)
+    return dl.EquivalenceReport(1, dl.REDUCED_FALLBACK, pairwise, pairwise)
 
 
 SPLIT = dl.DrsProblem(dl.L1(1.0), dl.Quadratic([[1.0]], [-1.0]))
@@ -151,7 +151,8 @@ def test_k_is_a_read_only_integer_array_of_the_rows():
 
 RECORD = {"z": [[0.0]], "x": [[0.0]], "w": [[0.0]], "residual": [0.0], "status": "converged"}
 SKEW_M = [[0.0, -1.0], [1.0, 0.0]]
-REPORT = {"iters": 1, "reduced_path": "drs", "pairwise": {"recursion-lifted": 0.0, "recursion-reduced": 2e-16}}
+PAIRS = {"recursion-lifted": 0.0, "recursion-reduced": 2e-16}
+REPORT = {"iters": 1, "reduced_path": "drs", "pairwise": PAIRS, "step_defects": PAIRS}
 
 
 @pytest.mark.parametrize("cls, doc, text", [
@@ -170,7 +171,7 @@ REPORT = {"iters": 1, "reduced_path": "drs", "pairwise": {"recursion-lifted": 0.
      "'max_deviation' is 0.0 in the document, but its fields give 2e-16"),
     (dl.EquivalenceReport, {**REPORT, "max_deviation": math.nan},
      "'max_deviation' is NaN in the document, but its fields give 2e-16"),
-    (dl.EquivalenceReport, {**REPORT, "pairwise": {}, "max_deviation": 0.0},
+    (dl.EquivalenceReport, {**REPORT, "pairwise": {}, "step_defects": {}, "max_deviation": 0.0},
      "'max_deviation' is 0.0 in the document, but its fields give NaN"),
     # its own to_dict wrote n, from_dict once ignored it and built a 2-point witness
     (dl.CycleWitness, {"n": 5, "points": [[0.0], [1.0]], "values": [[0.0], [0.0]], "cycle_sum": 0.0},

@@ -41,7 +41,8 @@ def documents():
         "CycleWitness": dl.skew_three_cycle(np.array([[1.0]]), [1.0], [0.0]),
         "CycleWitness_no_xi": dl.CycleWitness([[1.0], [2.0]], [[0.5], [0.25]], 0.25),
         "ResolventClassification": dl.ResolventClassification(np.eye(2)),
-        "EquivalenceReport": dl.EquivalenceReport(10, "direct", {"lifted": 0.0, "reduced": 1e-12}),
+        "EquivalenceReport": dl.EquivalenceReport(10, "direct", {"lifted": 0.0, "reduced": 1e-12},
+                                             {"lifted": 0.0, "reduced": 1e-13}),
     }
 
 
@@ -87,7 +88,7 @@ PINNED = {
     ),
     "EquivalenceReport": (
         '{"iters": 10, "max_deviation": 1e-12, "pairwise": {"lifted": 0.0, "reduced": 1e-12}, '
-        '"reduced_path": "direct"}'
+        '"reduced_path": "direct", "step_defects": {"lifted": 0.0, "reduced": 1e-13}}'
     ),
 }
 

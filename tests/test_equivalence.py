@@ -1,10 +1,21 @@
-"""The three formulations trace identical z-trajectories."""
+"""The three formulations give the same step, and so trace the same z-trajectory."""
 
 import numpy as np
 import pytest
 
 import drslab as dl
 from drslab.equivalence import LIFTED, RECURSION, REDUCED
+from helpers import two_lines
+
+
+def trajectory_gaps(problem, z0, iters):
+    """Per pair of formulations, the largest gap between their own trajectories."""
+    trajs, _ = dl.formulation_trajectories(problem, z0, iters)
+    gaps = {}
+    for pair in ("recursion-lifted", "recursion-reduced", "lifted-reduced"):
+        a, b = pair.split("-")
+        gaps[pair] = float(np.max(np.linalg.norm(trajs[a] - trajs[b], axis=1)))
+    return gaps, np.max(np.linalg.norm(trajs[RECURSION], axis=1))
 
 
 def test_trajectories_start_at_z0_and_have_right_shape():
@@ -35,14 +46,23 @@ def test_reduced_path_is_direct_for_singular_blocks():
 
 
 def test_formulations_agree_on_catalog(catalog):
-    # 100 seeded starts per stock problem, 100 iterations each
+    # 100 seeded starts per stock problem, 100 iterations each.  T is nonexpansive,
+    # so each pair's drift bound is at or above the gap between the two forms
+    # iterated on their own, up to rounding: a slack of 2 eps times the trajectory's
+    # largest norm (the worst shortfall over these 2,400 pairs is 0.44 eps times
+    # its largest entry)
     rng = np.random.default_rng(501)
+    eps = np.finfo(float).eps
     for entry in catalog:
         worst = 0.0
         for _ in range(100):
             z0 = 2.0 * rng.standard_normal(entry.dim)
             report = dl.compare_formulations(entry.problem, z0, iters=100)
             worst = max(worst, report.max_deviation)
+            gaps, scale = trajectory_gaps(entry.problem, z0, 100)
+            for pair, gap in gaps.items():
+                assert gap <= report.pairwise[pair] + 2.0 * eps * scale, (entry.name, pair)
+                assert report.step_defects[pair] <= report.pairwise[pair]
         assert worst <= 1e-10, (entry.name, worst)
 
 
@@ -89,3 +109,36 @@ def test_reduced_leg_is_the_iterated_reduced_resolvent(catalog):
             v = reduced_step(system, v)
             expected.append(system.root_tau * v)
         assert np.array_equal(trajs[REDUCED], np.array(expected)), entry.name
+
+
+def test_slow_two_lines_trajectory_drifts_while_each_step_agrees():
+    # at theta = 1e-3 the trajectory crawls: the gap grows with the length,
+    # while every step agrees to rounding
+    problem = two_lines(1e-3)
+    report = dl.compare_formulations(problem, [1.0, 1.0], iters=20_000)
+    gaps, _ = trajectory_gaps(problem, [1.0, 1.0], 20_000)
+    assert all(d <= 1e-15 for d in report.step_defects.values()), report.step_defects
+    assert all(gaps[pair] <= drift for pair, drift in report.pairwise.items()), (gaps, report.pairwise)
+    assert gaps["recursion-reduced"] > 1e-13  # the drift is real, not a rounding of zero
+
+
+def test_step_defects_are_the_one_step_defects_at_the_recursions_points(catalog_map):
+    # per point through the public single-step paths: the stacked evaluation
+    # may round differently (gemm against gemv), hence the 1e-15
+    entry = catalog_map["random_monotone_5d"]
+    problem, z0 = entry.problem, np.linspace(-1.0, 1.0, entry.dim)
+    report = dl.compare_formulations(problem, z0, iters=30)
+    zs = dl.formulation_trajectories(problem, z0, iters=30)[0][RECURSION]
+    system = dl.BlockSystem(problem.A, problem.B, problem.tau, entry.dim)
+    rt = system.root_tau
+    images = {
+        RECURSION: zs[1:],
+        LIFTED: np.array([dl.ppa_step(system, dl.initial_state(system, z)).z for z in zs[:-1]]),
+        REDUCED: np.array([rt * dl.reduced_resolvent_direct(system, z / rt) for z in zs[:-1]]),
+    }
+    for pair in report.pairwise:
+        a, b = pair.split("-")
+        deltas = np.linalg.norm(images[a] - images[b], axis=1)
+        assert report.pairwise[pair] == pytest.approx(deltas.sum(), abs=1e-15), pair
+        assert report.step_defects[pair] == pytest.approx(deltas.max(), abs=1e-15), pair
+    assert report.max_deviation == max(report.pairwise.values())

@@ -82,6 +82,7 @@ NONFINITE_STARTS = [
 def test_nonfinite_trajectories_do_not_read_as_agreement(catalog_map, entry, z0):
     report = dl.compare_formulations(catalog_map[entry].problem, z0, 100)
     assert all(np.isnan(d) for d in report.pairwise.values())
+    assert all(np.isnan(d) for d in report.step_defects.values())
     assert np.isnan(report.max_deviation)
 
 
@@ -99,6 +100,7 @@ def test_check_equivalence_nonfinite_start_exits_with_error(tmp_path, capsys, ca
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert "max deviation nan" in captured.err
+    assert "largest one-step defect nan" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,8 @@ def record(**fields):
 def report(**fields):
     """An EquivalenceReport built from its document, with the given fields."""
     return dl.EquivalenceReport.from_dict({"max_deviation": 0.0, "iters": 1, "reduced_path": "drs",
-                                           "pairwise": {"recursion-lifted": 0.0}, **fields})
+                                           "pairwise": {"recursion-lifted": 0.0},
+                                           "step_defects": {"recursion-lifted": 0.0}, **fields})
 
 
 def classified(**fields):
@@ -196,6 +197,9 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: report(reduced_path=3), "unknown reduced_path 3"),
     (lambda: report(pairwise=None), "pairwise must map pair names to numbers, got None"),
     (lambda: report(pairwise={"recursion-lifted": "0"}), "'recursion-lifted' must hold numbers, got \"0\""),
+    (lambda: report(step_defects=None), "step_defects must map pair names to numbers, got None"),
+    (lambda: report(step_defects={"recursion-lifted": "x"}), "'recursion-lifted' must hold numbers, got \"x\""),
+    (lambda: report(step_defects={}), "step_defects must name the pairs of pairwise, got []"),
     (lambda: record(z=[["a"]]), "'z' must hold numbers, got [[\"a\"]]"),
     (lambda: record(residual=[None]), "'residual' must hold numbers, got [null]"),
     (lambda: record(k=[True]), "'k' must hold numbers, got [true]"),
