@@ -125,6 +125,12 @@ def _problem_dim(problem, doc):
     return n
 
 
+def _unused_seed(args, reason):
+    """CliError when --seed is given but draws nothing, because ``reason``."""
+    if args.seed is not None:
+        raise CliError(f"--seed draws nothing here: {reason}")
+
+
 def _start_point(problem, doc):
     n = _problem_dim(problem, doc)
     return _start_vector(problem, doc["z0"]) if "z0" in doc else np.zeros(n)
@@ -177,7 +183,11 @@ def cmd_check_equivalence(args):
     doc = _load_document(args.problem)
     problem = _build_problem(args, doc)
     n = _problem_dim(problem, doc)
-    z0 = _vector(doc, "z0") if "z0" in doc else np.random.default_rng(problem.seed).standard_normal(n)
+    if "z0" in doc:
+        _unused_seed(args, "the problem file gives z0")
+        z0 = _vector(doc, "z0")
+    else:
+        z0 = np.random.default_rng(problem.seed).standard_normal(n)
     iters = {} if args.iters is None else {"iters": args.iters}
     report = compare_formulations(problem, z0, **iters)
     _emit_json(args, report.to_dict())
@@ -218,6 +228,8 @@ def cmd_witness_skew(args):
     if C.ndim != 2:
         raise CliError("'C' must be a matrix")
     n2, n1 = C.shape
+    if "a1" in doc and "b1" in doc:
+        _unused_seed(args, "the problem file gives a1 and b1")
     rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
     if "a1" in doc:
         a1 = _vector(doc, "a1")

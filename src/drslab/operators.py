@@ -369,8 +369,9 @@ class MonotoneOperator(Document):
     """Base class for the operator variants.
 
     Subclasses implement ``_resolve`` on a point or a row stack, in the
-    layout of the input, as a new array: never the input or a view of it,
-    which ``cyclic._graph_points`` overwrites.  They may override
+    shape of the input, as a new C-contiguous float64 array, whose bytes
+    ``drs.run`` packs as they lie: never the input or a view of it, which
+    ``cyclic._graph_points`` overwrites.  They may override
     ``_graph_residual`` when a sharper membership test than the generic
     resolvent characterization is available.
     Each variant names its document ``tag``; its document is

@@ -7,6 +7,7 @@ import numpy as np
 
 import drslab as dl
 from drslab.cyclic import TOL_VIOLATION, CycleWitness, _graph_points
+from drslab.drs import _BLOCK_STEPS
 from drslab.errors import DimensionMismatch
 
 
@@ -107,8 +108,8 @@ def row_reference_run(problem, z0):
 
 
 #: max_iters at and next to the first two block ends of ``run``, which packs
-#: its per-step lists into arrays every 64 steps
-BLOCK_ENDS = (63, 64, 65, 128, 129)
+#: its per-step lists every ``drs._BLOCK_STEPS`` steps
+BLOCK_ENDS = (_BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS, 2 * _BLOCK_STEPS + 1)
 
 
 def linf_ball_overflowing_at(steps):
@@ -119,7 +120,7 @@ def linf_ball_overflowing_at(steps):
     the reflection fed to J_A grows.  At tau = 1e-306 that resolvent's x / tau
     overflows once its input passes about 180, and c places that step.
     """
-    c = {64: 3.76, 128: 2.383}[steps]
+    c = {32: 6.48, 64: 3.76, 128: 2.383}[steps]
     return dl.DrsProblem(dl.Inverse(dl.L1(1.0)), dl.Box([c], [c + 1.0]), tau=1e-306,
                          max_iters=1000)
 
@@ -128,8 +129,8 @@ def block_end_runs():
     """Runs of ``run`` that end at or next to one of its block ends, as
     (id, problem, z0, status, steps): two disjoint boxes at n = 3, which never
     converge, capped at each of BLOCK_ENDS; box_quadratic_3d converging at
-    step 64 and 128 (its stop_tol is the reference loop's residual there, and
-    its residuals fall strictly); and linf_ball_overflowing_at 64 and 128."""
+    the first two block ends (its stop_tol is the reference loop's residual
+    there, and its residuals fall strictly); and linf_ball_overflowing_at them."""
     boxes = (dl.Box([0.0] * 3, [1.0] * 3), dl.Box([2.0] * 3, [3.0] * 3))
     runs = [(f"boxes-{k}", dl.DrsProblem(*boxes, max_iters=k), np.zeros(3), dl.MAX_ITERS, k)
             for k in BLOCK_ENDS]
@@ -137,10 +138,11 @@ def block_end_runs():
     z0 = 3.0 * np.random.default_rng(7).standard_normal(3)
     residual = row_reference_run(dl.DrsProblem(p.A, p.B, tau=p.tau, stop_tol=1e-300, max_iters=200),
                                  z0)[4]
-    for k in (64, 128):
+    ends = (_BLOCK_STEPS, 2 * _BLOCK_STEPS)
+    for k in ends:
         problem = dl.DrsProblem(p.A, p.B, tau=p.tau, stop_tol=residual[k - 1], max_iters=1000)
         runs.append((f"converged-{k}", problem, z0, dl.CONVERGED, k))
-    for k in (64, 128):
+    for k in ends:
         runs.append((f"nonfinite-{k}", linf_ball_overflowing_at(k), np.zeros(1), dl.NONFINITE, k))
     return runs
 

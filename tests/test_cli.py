@@ -373,6 +373,27 @@ def test_document_seed_is_read_and_the_flag_overrides_it(tmp_path, capsys, comma
     assert run(dict(doc, seed=-1))[0] == EXIT_ERROR  # the document's seed reaches the generator
 
 
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        ("check-equivalence", dict(L1_QUAD, z0=[5.0]), "the problem file gives z0"),
+        ("witness-skew", {"C": [[1.0]], "a1": [1.0], "b1": [0.0]}, "the problem file gives a1 and b1"),
+    ],
+)
+def test_a_seed_that_draws_nothing_exits_one(tmp_path, capsys, command, doc, err):
+    # the seed draws only a missing start or witness point, so with each given in
+    # the document --seed 0 and --seed 5 printed the same report and exited 0
+    path = write_doc(tmp_path, doc)
+    for seed in ("0", "5"):
+        code = main([command, "--problem", path, "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.err == f"error: --seed draws nothing here: {err}\n"
+        assert captured.out == ""
+    assert main([command, "--problem", path]) == EXIT_OK  # the document alone still runs
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # check-equivalence
 

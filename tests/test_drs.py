@@ -200,6 +200,24 @@ def test_a_long_run_keeps_little_more_than_its_data():
     assert peak < 4_000_000
 
 
+def test_a_short_run_keeps_one_small_block_of_step_objects(catalog_map):
+    # box_quadratic_3d converges in about 150 steps from this start: 12 KB of
+    # data at n = 3. Its peak is mostly one block of per-step objects, 27.8 KB
+    # with 32-step blocks packed by their bytes; 64-step blocks packed by
+    # np.array peaked at 37.7 KB
+    problem = catalog_map["box_quadratic_3d"].problem
+    z0 = 3.0 * np.random.default_rng(3).standard_normal(3)
+    dl.run(problem, z0)  # first-call allocations
+    tracemalloc.start()
+    try:
+        record = dl.run(problem, z0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.status == dl.CONVERGED and len(record) > 100
+    assert peak < 32_000
+
+
 def test_run_l1_quadratic_solves_inclusion():
     problem = l1_quadratic_problem()
     traj = dl.run(problem, [5.0])
