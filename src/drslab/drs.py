@@ -281,8 +281,8 @@ def run(problem, z0):
     # one array per field, so that keeping one field keeps no other alive;
     # x and w have the shape of z, the kernels' contract
     shape = (steps, z.shape[0])
-    rows = [_joined(blocks[name], shape) for name in ("z", "x", "w")]
-    return TrajectoryRecord(*rows, _joined(blocks["residual"], steps), status)
+    fields = [_joined(blocks[name], shape) for name in ("z", "x", "w")]
+    return TrajectoryRecord(*fields, _joined(blocks["residual"], steps), status)
 
 
 def solution_certificate(problem, z, tol):

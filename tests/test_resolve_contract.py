@@ -2,9 +2,10 @@
 
 ``run`` packs a block of rows with ``b"".join(rows)``: one memcpy of each
 row's buffer, which reads the bytes as they lie.  That keeps the bits only
-when each row is a C-contiguous float64 array, and it keeps them unchanged
-only when no row shares memory with a point that is overwritten later.
-These tests hold every operator variant's ``_resolve`` to that contract.
+when each row is a C-contiguous float64 array of the input's shape.  The
+row must also be new, sharing no memory with its input, which
+``cyclic._graph_points`` overwrites.  These tests hold every operator
+variant's ``_resolve`` to that contract.
 """
 
 import numpy as np
@@ -13,12 +14,6 @@ import pytest
 from helpers import operator_zoo
 
 ZOO = operator_zoo()
-
-
-def assert_new_c_float64(out, given):
-    assert isinstance(out, np.ndarray) and out.dtype == np.float64
-    assert out.flags.c_contiguous and out.shape == given.shape
-    assert not np.shares_memory(out, given)
 
 
 @pytest.mark.parametrize("tau", (1.0, 0.7))  # 1.0 takes the unit-step shortcuts
@@ -30,5 +25,7 @@ def test_resolve_returns_a_new_c_contiguous_float64_array(name, op, dim, tau):
     for given in (point, stack):
         before = given.copy()
         out = op._resolve(tau, given)
-        assert_new_c_float64(out, given)
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.flags.c_contiguous and out.shape == given.shape
+        assert not np.shares_memory(out, given)
         assert np.array_equal(given, before)  # the input is read, not written
