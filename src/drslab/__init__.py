@@ -62,8 +62,8 @@ from .operators import (
 
 #: Each name of the analysis half, and each of its modules, to its home module.
 _LAZY = {name: home for home, names in {
-    "blocks": "BlockSystem coupling_gram lifted_blocks"
-              " reduced_resolvent_direct reduced_resolvent_fukushima reduced_resolvent_via_drs",
+    "blocks": "BlockSystem coupling_gram reduced_resolvent_direct"
+              " reduced_resolvent_fukushima reduced_resolvent_via_drs",
     "cyclic": "INCONCLUSIVE NOT_PROXIMAL PROXIMAL CycleWitness ResolventClassification"
               " classify_resolvent cycle_sum drs_map_matrix sample_cycles skew_three_cycle",
     "equivalence": "LIFTED RECURSION REDUCED REDUCED_DIRECT REDUCED_FALLBACK EquivalenceReport"

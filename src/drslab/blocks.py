@@ -18,8 +18,9 @@ and can be evaluated three independent ways:
   inverted once.  Works for every affine operator, singular ones included:
   a nonsingular G is a well-defined resolvent.
 * ``reduced_resolvent_fukushima``: the complement form
-  v - K (L + K^T K)^{-1} K^T v, equal by a Woodbury rearrangement.  Needs
-  invertible linear blocks: it assembles L.
+  v - K (L + K^T K)^{-1} K^T v, equal by a Woodbury rearrangement, from one
+  2n x 2n solve on the graph pair of L.  It covers what the direct path
+  covers, independently: the direct path eliminates on A's and B's pairs.
 
 All three must agree to near machine precision; the test suite holds
 them to 1e-10.  The reduced leg of ``equivalence.formulation_trajectories``
@@ -27,11 +28,9 @@ iterates the direct kernel or, for an operator with no graph pair (``L1``,
 ``Box``), the one-step kernel: the very functions the first two paths apply.
 
 L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)``, built
-once by the system and kept as ``system.L``; every lifted path reads it.  The
-3n x 3n lifted operator of ``ppa`` is ``Block2x2(L, Zero(), [I I])``; both are
-made dense by ``linear_matrix``, which raises NotLinear for a block that is
-not linear or is singular.  No elimination pair is built: it exists only for
-an invertible L, and G certifies the reduced resolvent without one.
+once by the system and kept as ``system.L``; every lifted path reads it.  No
+path makes it dense: the complement form and ``coupling_gram`` read its graph
+pair, and the lifted step resolves its diagonal blocks.
 """
 
 from __future__ import annotations
@@ -41,20 +40,18 @@ import math
 import numpy as np
 
 from .drs import _splitting_rows
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, NotLinear, SingularSystem
 from .operators import (
     Block2x2,
     Document,
     Inverse,
     MonotoneOperator,
-    Zero,
     _check_operator,
     _check_tau,
     _integer,
     _linalg,
     _points,
     graph_pair,
-    linear_matrix,
 )
 
 
@@ -89,29 +86,32 @@ class BlockSystem(Document):
         D[2 * n :, :] = np.eye(n) / self.root_tau
         return D
 
-    def metric_matrix(self):
-        """The degenerate metric Q, assembled exactly as D D^T."""
-        D = self.metric_factor()
-        return D @ D.T
 
-    def lifted_matrix(self):
-        """Dense 3n x 3n lifted operator [[L, -E^T], [E, 0]], E = [I I]: the
-        matrix of ``Block2x2(L, Zero(), E)``; needs invertible linear blocks."""
-        E = np.hstack([np.eye(self.n)] * 2)
-        return linear_matrix(Block2x2(self.L, Zero(), E), 3 * self.n)
-
-
-def lifted_blocks(sys):
-    """The dense (L, K) pair of an invertible linear system; NotLinear when a
-    block has no matrix (not linear, or singular)."""
-    eye = np.eye(sys.n)
-    return linear_matrix(sys.L, 2 * sys.n), sys.root_tau * np.hstack([eye, eye])
+def _lifted_solve(sys, V, coupled, message):
+    """(K, X): K = sqrt(tau) [I I] and the rows x with K^T v in (L + K^T K) x,
+    or in L x if not coupled, one for each row v of V, read from the graph pair
+    (P, Q, p, q) of L: x = P xi + p, (Q + K^T K P) xi = K^T v - q - K^T K p.
+    No block is inverted, so a singular one is no obstacle.  Not coupled, the
+    rows are those of a matrix L^{-1}: NotLinear for an L with an offset.
+    SingularSystem(message) for a singular system."""
+    K = sys.root_tau * np.hstack([np.eye(sys.n)] * 2)
+    P, Q, p, q = graph_pair(sys.L, 2 * sys.n)
+    Y = V @ K - q
+    if coupled:
+        KtK = K.T @ K
+        Q, Y = Q + KtK @ P, Y - KtK @ p
+    elif np.any(p) or np.any(q):
+        raise NotLinear("L has a nonzero offset, so K L^{-1} K^T is affine, not linear")
+    xi = _linalg(np.linalg.solve, SingularSystem, message, Q, Y.T).T
+    return K, xi @ P.T + p
 
 
 def coupling_gram(sys):
-    """The dense n x n matrix K L^{-1} K^T."""
-    L, K = lifted_blocks(sys)
-    return K @ _linalg(np.linalg.solve, SingularSystem, "lifted block matrix L is singular", L, K.T)
+    """The dense n x n matrix K L^{-1} K^T, from the graph pair of L (see
+    ``_lifted_solve``); NotLinear for an L with an offset, SingularSystem when
+    L^{-1} is no map."""
+    K, X = _lifted_solve(sys, np.eye(sys.n), False, "lifted block matrix L is singular")
+    return K @ X.T
 
 
 def _drs_kernel(sys):
@@ -156,10 +156,8 @@ def reduced_resolvent_direct(sys, v):
 
 def reduced_resolvent_fukushima(sys, v):
     """Evaluate the reduced resolvent in complement form, v - K (L + K^T K)^{-1} K^T v,
-    equal to the direct path by the Woodbury identity; NotLinear unless both
-    blocks are invertible linear maps."""
+    equal to the direct path by the Woodbury identity, from the graph pair of L;
+    NotLinear for an operator with none, SingularSystem for a singular system."""
     V = _points(v, "v", dim=sys.n)
-    L, K = lifted_blocks(sys)
-    G = L + K.T @ K
-    Y = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", G, K.T @ V.T)
-    return V - (K @ Y).T
+    K, X = _lifted_solve(sys, V, True, "L + K^T K is singular")
+    return V - X @ K.T

@@ -125,10 +125,12 @@ def _problem_dim(problem, doc):
     return n
 
 
-def _unused_seed(args, reason):
-    """CliError when --seed is given but draws nothing, because ``reason``."""
+def _unused_seed(args, reason, doc=()):
+    """CliError when --seed or ``doc``'s "seed" is given but draws nothing, because ``reason``."""
     if args.seed is not None:
         raise CliError(f"--seed draws nothing here: {reason}")
+    if "seed" in doc:
+        raise CliError(f"'seed' draws nothing here: {reason}")
 
 
 def _start_point(problem, doc):
@@ -229,7 +231,7 @@ def cmd_witness_skew(args):
         raise CliError("'C' must be a matrix")
     n2, n1 = C.shape
     if "a1" in doc and "b1" in doc:
-        _unused_seed(args, "the problem file gives a1 and b1")
+        _unused_seed(args, "the problem file gives a1 and b1", doc)
     rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
     if "a1" in doc:
         a1 = _vector(doc, "a1")

@@ -51,8 +51,8 @@ proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 
 Graph pairs.  ``graph_pair`` reads an affine operator, multivalued too, as
 (P, Q, p, q) with gra op = {(P xi + p, Q xi + q)}; an ``Inverse`` swaps its
-operator's pair.  ``linear_matrix`` is Q P^{-1}, but assembles a ``Block2x2``
-from its blocks' matrices, so that a tau*I coupling keeps its exact bits.
+operator's pair.  ``linear_matrix`` is Q P^{-1}, for a pair with no offset
+and an invertible P.
 
 Operators are immutable values; the kept matrix is a cache that never
 changes a result.  Every kernel (``_resolve``) and ``resolve`` accept a
@@ -697,8 +697,6 @@ def graph_pair(op, n):
 
 def linear_matrix(op, n):
     """Dense matrix M with op(x) = M x (see Graph pairs above), else NotLinear."""
-    if isinstance(op, Block2x2) and op.dim == n:
-        return np.block([[linear_matrix(op.A, op.n1), -op.C.T], [op.C, linear_matrix(op.B, op.n2)]])
     P, Q, p, q = graph_pair(op, n)
     if np.any(p) or np.any(q):
         raise NotLinear(f"{type(op).__name__} with a nonzero offset is affine, not linear")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import drslab as dl
-from drslab.ppa import PpaSystem
 from helpers import monotone_matrix, rotation, sample_points, spd_matrix
 
 
@@ -48,10 +47,12 @@ def test_via_drs_batch_layout():
 # dense direct path
 
 
-def test_lifted_blocks_identity_pair():
-    L, K = dl.lifted_blocks(identity_pair())
-    assert np.array_equal(L, np.array([[1.0, -1.0], [1.0, 1.0]]))
-    assert np.array_equal(K, np.array([[1.0, 1.0]]))
+def test_lifted_graph_pair_identity_pair():
+    # L = [[I^{-1}, -I], [I, I^{-1}]] is read as a graph pair, never inverted
+    P, Q, p, q = dl.graph_pair(identity_pair().L, 2)
+    assert np.array_equal(P, np.eye(2))
+    assert np.array_equal(Q, np.array([[1.0, -1.0], [1.0, 1.0]]))
+    assert not np.any(p) and not np.any(q)
 
 
 def test_direct_identity_pair_matches_hand_solve():
@@ -81,10 +82,20 @@ def test_direct_covers_singular_blocks():
     assert np.max(np.abs(dl.reduced_resolvent_direct(sys, V) - dl.reduced_resolvent_via_drs(sys, V))) <= 1e-14
 
 
-def test_lifted_blocks_rejects_prox_operators():
+def test_lifted_paths_reject_prox_operators():
     sys = dl.BlockSystem(dl.L1(1.0), dl.ScaledIdentity(1.0), 1.0, 2)
-    with pytest.raises(dl.NotLinear):
-        dl.lifted_blocks(sys)
+    with pytest.raises(dl.NotLinear, match="^L1 is not affine"):
+        dl.coupling_gram(sys)
+    with pytest.raises(dl.NotLinear, match="^L1 is not affine"):
+        dl.reduced_resolvent_fukushima(sys, np.ones(2))
+
+
+def test_coupling_gram_refuses_an_offset():
+    # a Quadratic's offset makes K L^{-1} K^T affine, not a matrix; the
+    # complement form carries the offset (tests/test_complement_form.py)
+    sys = dl.BlockSystem(dl.Quadratic(np.eye(2), [1.0, -2.0]), dl.Zero(), 0.5, 2)
+    with pytest.raises(dl.NotLinear, match="^L has a nonzero offset"):
+        dl.coupling_gram(sys)
 
 
 def test_coupling_gram_singular_lifted_matrix():
@@ -101,8 +112,9 @@ def test_coupling_gram_singular_lifted_matrix():
 
 def test_fukushima_identity_pair_hand_solve():
     sys = identity_pair()
-    L, K = dl.lifted_blocks(sys)
-    G = L + K.T @ K
+    P, Q, _, _ = dl.graph_pair(sys.L, 2)
+    K = np.array([[1.0, 1.0]])
+    G = Q + K.T @ K @ P
     assert np.array_equal(G, np.array([[2.0, 0.0], [2.0, 2.0]]))
     # G w = K^T 4 = (4, 4) gives w = (2, 0), so the value is 4 - K w = 2
     w = np.linalg.solve(G, np.array([4.0, 4.0]))
@@ -196,23 +208,6 @@ def test_moreau_complement_satisfies_linear_inclusion():
     r = dl.reduced_resolvent_via_drs(sys, V)
     c = V - r
     assert np.max(np.abs(c - r @ W.T)) <= 1e-10
-
-
-def test_coupling_gram_matches_projected_lifted_inverse():
-    # scaling-free cross-check: (D^T A^{-1} D)^{-1} = K L^{-1} K^T
-    rng = np.random.default_rng(113)
-    for tau, n in [(1.0, 1), (0.5, 2), (2.0, 3)]:
-        M = monotone_matrix(rng, n, floor=0.4)
-        A = dl.LinearRelation(M)
-        B = dl.LinearRelation(spd_matrix(rng, n))
-        block = dl.BlockSystem(A, B, tau, n)
-        lifted = PpaSystem(A, B, tau, n)
-        D = lifted.metric_factor()
-        core = D.T @ np.linalg.inv(lifted.lifted_matrix()) @ D
-        W = dl.coupling_gram(block)
-        assert np.max(np.abs(np.linalg.inv(core) - W)) <= 1e-10 * max(
-            1.0, np.max(np.abs(W))
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,16 @@ def test_a_seed_that_draws_nothing_exits_one(tmp_path, capsys, command, doc, err
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", (0, 5))
+def test_a_document_seed_that_draws_nothing_exits_one(tmp_path, capsys, seed):
+    # with a1 and b1 given, seeds 0 and 5 printed the same witness and exited 0
+    path = write_doc(tmp_path, {"C": [[1.0]], "a1": [1.0], "b1": [0.0], "seed": seed})
+    assert main(["witness-skew", "--problem", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: 'seed' draws nothing here: the problem file gives a1 and b1\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # check-equivalence
 

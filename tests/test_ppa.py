@@ -1,5 +1,7 @@
 """Lifted 4-variable proximal-point form of the splitting step."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,19 +137,19 @@ def test_inclusion_residual_across_catalog(catalog):
 # degenerate metric
 
 
-def test_metric_matrix_is_factor_gram():
+def test_metric_factor_weights_z_only():
     sys = dl.PpaSystem(dl.Zero(), dl.Zero(), 0.5, 3)
     D = sys.metric_factor()
-    Q = sys.metric_matrix()
     assert D.shape == (9, 3)
-    assert np.array_equal(Q, D @ D.T)
+    assert np.array_equal(D[:6], np.zeros((6, 3)))
+    assert np.array_equal(D[6:], np.eye(3) / math.sqrt(0.5))
 
 
 def test_metric_rank_is_ambient_dimension():
     for tau, n in [(1.0, 1), (0.5, 2), (2.0, 4)]:
         sys = dl.PpaSystem(dl.Zero(), dl.Zero(), tau, n)
-        Q = sys.metric_matrix()
-        eigs = np.linalg.eigvalsh(Q)
+        D = sys.metric_factor()
+        eigs = np.linalg.eigvalsh(D @ D.T)
         assert np.sum(eigs > 1e-12) == n
         assert np.sum(np.abs(eigs) <= 1e-12) == 2 * n
         # nonzero eigenvalues all equal 1/tau
@@ -156,22 +158,20 @@ def test_metric_rank_is_ambient_dimension():
 
 def test_metric_kernel_contains_auxiliary_directions():
     sys = dl.PpaSystem(dl.Zero(), dl.Zero(), 2.0, 2)
-    Q = sys.metric_matrix()
+    D = sys.metric_factor()
+    Q = D @ D.T
     for vec in (np.r_[1.0, -2.0, 0, 0, 0, 0], np.r_[0, 0, 3.0, 1.0, 0, 0]):
         assert np.array_equal(Q @ vec, np.zeros(6))
 
 
-def test_lifted_matrix_structure():
+def test_lifted_graph_pair_structure():
+    # L = [[B^{-1}, -tau I], [tau I, A^{-1}]] = Q P^{-1}, exact in binary here
     sys = dl.PpaSystem(dl.ScaledIdentity(2.0), dl.ScaledIdentity(4.0), 0.5, 1)
-    got = sys.lifted_matrix()
-    expected = np.array(
-        [
-            [0.25, -0.5, -1.0],
-            [0.5, 0.5, -1.0],
-            [1.0, 1.0, 0.0],
-        ]
-    )
-    assert np.array_equal(got, expected)
+    P, Q, p, q = dl.graph_pair(sys.L, 2)
+    assert np.array_equal(P, np.diag([4.0, 2.0]))
+    assert np.array_equal(Q, np.array([[1.0, -1.0], [2.0, 1.0]]))
+    assert not np.any(p) and not np.any(q)
+    assert np.array_equal(dl.linear_matrix(sys.L, 2), np.array([[0.25, -0.5], [0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

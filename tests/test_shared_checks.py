@@ -72,19 +72,9 @@ def _identities():
 # monotone within TOL_PSD; at tau = 2^40, I + tau*M has an exact zero pivot
 NEARLY_SINGULAR = np.diag([1.0, -(2.0**-40)])
 
-# K = [I I]; an L of -K^T K makes L + K^T K the zero matrix
-K_SUM = np.hstack([np.eye(2)] * 2)
-
-# linear_matrix's text for an Inverse of a singular matrix, which every path
-# of blocks that assembles the catalog operator L reaches
-SINGULAR_INVERSE = "inverse of a singular matrix is a relation, not a map"
-
-
-def _zero_block(side):
-    """A system whose A or B block is Zero, which has no dense inverse."""
-    one = dl.ScaledIdentity(1.0)
-    A, B = (dl.Zero(), one) if side == "A" else (one, dl.Zero())
-    return dl.BlockSystem(A, B, 1.0, 2)
+# a graph pair of zeros, for any operator: every system matrix built from it
+# is the zero matrix
+ZERO_PAIR = ("graph_pair", lambda op, n: (np.zeros((n, n)),) * 2 + (np.zeros(n),) * 2)
 
 
 SITES = {
@@ -93,29 +83,17 @@ SITES = {
         dl.SingularSystem,
         "P + tau*Q of the LinearRelation graph pair is singular for tau=1099511627776.0", None),
     "linear_matrix_inverse": (
-        lambda: linear_matrix(dl.Inverse(dl.Zero()), 2), dl.NotLinear, SINGULAR_INVERSE, None),
-    "lifted_blocks_A": (
-        lambda: dl.lifted_blocks(_zero_block("A")), dl.NotLinear, SINGULAR_INVERSE, None),
-    "lifted_blocks_B": (
-        lambda: dl.lifted_blocks(_zero_block("B")), dl.NotLinear, SINGULAR_INVERSE, None),
-    "lifted_matrix": (
-        lambda: _zero_block("A").lifted_matrix(), dl.NotLinear, SINGULAR_INVERSE, None),
-    "gram_zero_block": (
-        lambda: dl.coupling_gram(_zero_block("B")), dl.NotLinear, SINGULAR_INVERSE, None),
-    "reduced_fukushima_zero_block": (
-        lambda: dl.reduced_resolvent_fukushima(_zero_block("B"), np.ones(2)),
-        dl.NotLinear, SINGULAR_INVERSE, None),
+        lambda: linear_matrix(dl.Inverse(dl.Zero()), 2), dl.NotLinear,
+        "inverse of a singular matrix is a relation, not a map", None),
     "gram": (
         lambda: dl.coupling_gram(_quarter_turns()),
         dl.SingularSystem, "lifted block matrix L is singular", None),
     "reduced_direct": (
         lambda: dl.reduced_resolvent_direct(_identities(), np.ones(2)),
-        dl.SingularSystem, "the reduced graph system G is singular",
-        ("graph_pair", lambda op, n: (np.zeros((n, n)),) * 2 + (np.zeros(n),) * 2)),
+        dl.SingularSystem, "the reduced graph system G is singular", ZERO_PAIR),
     "reduced_fukushima": (
         lambda: dl.reduced_resolvent_fukushima(_identities(), np.ones(2)),
-        dl.SingularSystem, "L + K^T K is singular",
-        ("lifted_blocks", lambda sys: (-K_SUM.T @ K_SUM, K_SUM))),
+        dl.SingularSystem, "L + K^T K is singular", ZERO_PAIR),
     "classify_resolvent": (
         lambda: dl.classify_resolvent(np.zeros((2, 2))),
         dl.SingularMatrix, "resolvent matrix is singular", None),
@@ -133,3 +111,20 @@ def test_singular_matrix_sites_keep_their_error_and_text(site, monkeypatch):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+# a Zero block has no dense inverse, and the lifted paths once refused it with
+# linear_matrix's text; read from L's graph pair, they agree with the direct
+# kernel, which never needed the inverse
+
+
+@pytest.mark.parametrize("side", ("A", "B"))
+def test_lifted_paths_agree_with_the_direct_kernel_on_a_zero_block(side):
+    one = dl.ScaledIdentity(1.0)
+    A, B = (dl.Zero(), one) if side == "A" else (one, dl.Zero())
+    system = dl.BlockSystem(A, B, 1.0, 2)
+    V = np.random.default_rng(83).standard_normal((6, 2))
+    direct = dl.reduced_resolvent_direct(system, V)
+    via_gram = np.linalg.solve(np.eye(2) + dl.coupling_gram(system), V.T).T
+    for got in (dl.reduced_resolvent_fukushima(system, V), via_gram):
+        assert np.max(np.abs(got - direct)) <= 1e-14 * max(1.0, np.max(np.abs(direct)))

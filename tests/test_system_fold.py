@@ -1,10 +1,10 @@
-"""One system type and one lifted-block assembly.
+"""One system type and one lifted operator.
 
-``PpaSystem`` is ``BlockSystem``, and the dense lifted operator and the
-coupling Gram matrix both come from ``linear_matrix`` of the catalog
-operator L that the system builds once.
-Each is held to an in-test reference assembly with exact equality, so
-sharing the assembly changes no bit.
+``PpaSystem`` is ``BlockSystem``, which builds the catalog operator L once.
+The coupling Gram matrix K L^{-1} K^T is read from L's graph pair and held
+with exact equality to an in-test assembly of that pair; the dense lifted
+operator, which no path of the package forms, is assembled in the test from
+the inverses of the blocks and holds the Gram matrix to rounding.
 """
 
 import math
@@ -22,22 +22,27 @@ from drslab.operators import linear_matrix
 SINGULAR = ("zero_zero_1d", "zero_zero_2d", "skew_zero_2d")
 
 
-def _reference(A, B, tau, n):
-    """(lifted, gram) assembled the long way, from np.linalg.inv."""
+def _reference_gram(A, B, tau, n):
+    """K L^{-1} K^T from the graph pair (P, Q) = (diag(M_B, M_A),
+    [[I, -tau M_A], [tau M_B, I]]) of L, assembled here: L^{-1} K^T = P xi
+    with Q xi = K^T, as the package solves it."""
+    MA, MB = linear_matrix(A, n), linear_matrix(B, n)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    P = np.block([[MB, zero], [zero, MA]])
+    Q = np.block([[eye, -tau * MA], [tau * MB, eye]])
+    K = math.sqrt(tau) * np.hstack([eye, eye])
+    X = np.linalg.solve(Q, K.T).T @ P.T  # the rows of L^{-1} K^T
+    return K @ X.T
+
+
+def _reference_lifted(A, B, tau, n):
+    """The dense 3n x 3n lifted operator [[L, -E^T], [E, 0]], E = [I I], of
+    invertible linear blocks, from np.linalg.inv of their matrices: no path
+    of the package forms it."""
     inv_a = np.linalg.inv(linear_matrix(A, n))
     inv_b = np.linalg.inv(linear_matrix(B, n))
     eye = np.eye(n)
-    lifted = np.block(
-        [
-            [inv_b, -tau * eye, -eye],
-            [tau * eye, inv_a, -eye],
-            [eye, eye, np.zeros((n, n))],
-        ]
-    )
-    L = np.block([[inv_b, -tau * eye], [tau * eye, inv_a]])
-    K = math.sqrt(tau) * np.hstack([eye, eye])
-    gram = K @ np.linalg.solve(L, K.T)
-    return lifted, gram
+    return np.block([[inv_b, -tau * eye, -eye], [tau * eye, inv_a, -eye], [eye, eye, np.zeros((n, n))]])
 
 
 def _seeded_pairs():
@@ -48,9 +53,9 @@ def _seeded_pairs():
         yield pytest.param(A, B, tau, n, id=f"seeded_monotone_{n}d")
 
 
-def _invertible_cases():
+def _linear_cases(singular=True):
     for entry in dl.standard_catalog():
-        if entry.linear and entry.name not in SINGULAR:
+        if entry.linear and (singular or entry.name not in SINGULAR):
             p = entry.problem
             yield pytest.param(p.A, p.B, p.tau, entry.dim, id=entry.name)
     yield from _seeded_pairs()
@@ -61,15 +66,23 @@ def test_ppa_system_is_block_system():
     assert ppa.PpaSystem is blocks.BlockSystem
 
 
-@pytest.mark.parametrize("A, B, tau, n", list(_invertible_cases()))
-def test_shared_assembly_matches_reference_exactly(A, B, tau, n):
-    lifted, gram = _reference(A, B, tau, n)
+@pytest.mark.parametrize("A, B, tau, n", list(_linear_cases()))
+def test_gram_matches_the_graph_pair_reference_exactly(A, B, tau, n):
+    assert np.array_equal(dl.coupling_gram(dl.BlockSystem(A, B, tau, n)), _reference_gram(A, B, tau, n))
+
+
+@pytest.mark.parametrize("A, B, tau, n", list(_linear_cases(singular=False)))
+def test_lifted_reference_projects_to_the_gram(A, B, tau, n):
+    # (D^T M^{-1} D)^{-1} = K L^{-1} K^T for the lifted matrix M and the metric
+    # factor D: the Schur complement of M's zero block, rescaled by tau
     system = dl.BlockSystem(A, B, tau, n)
-    assert np.array_equal(system.lifted_matrix(), lifted)
-    assert np.array_equal(dl.coupling_gram(system), gram)
+    D = system.metric_factor()
+    core = D.T @ np.linalg.inv(_reference_lifted(A, B, tau, n)) @ D
+    W = dl.coupling_gram(system)
+    assert np.max(np.abs(np.linalg.inv(core) - W)) <= 1e-10 * max(1.0, np.max(np.abs(W)))
 
 
-@pytest.mark.parametrize("A, B, tau, n", list(_invertible_cases()))
+@pytest.mark.parametrize("A, B, tau, n", list(_linear_cases()))
 def test_direct_path_applies_one_inverse_to_every_row(A, B, tau, n):
     # the kernel inverts I + K L^{-1} K^T once; each row of a stack, and each
     # point alone, gets what a solve of that system gives
@@ -84,14 +97,6 @@ def test_direct_path_applies_one_inverse_to_every_row(A, B, tau, n):
         alone = dl.reduced_resolvent_direct(system, v)
         assert alone.shape == (n,)
         assert np.max(np.abs(alone - row)) <= 1e-12 * max(1.0, np.max(np.abs(row)))
-
-
-@pytest.mark.parametrize("name", SINGULAR)
-def test_lifted_matrix_singular_block_raises_not_linear(catalog_map, name):
-    entry = catalog_map[name]
-    system = dl.PpaSystem(entry.problem.A, entry.problem.B, entry.problem.tau, entry.dim)
-    with pytest.raises(dl.NotLinear, match="^inverse of a singular matrix is a relation, not a map$"):
-        system.lifted_matrix()
 
 
 def _counted(monkeypatch, owner, name):
