@@ -132,8 +132,14 @@ class ResolventClassification(Document):
 
 def _symmetry_verdict(M):
     """(defect, verdict) of a generator M: the symmetry defect
-    ||M - M^T|| / max(1, ||M||) against the thresholds 1e-8 and 1e-6."""
-    defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
+    ||M - M^T|| / max(1, ||M||) against the thresholds 1e-8 and 1e-6.  Where
+    a norm could overflow, M is first scaled by an exact power of two, as in
+    ``_check_monotone``; ||M|| > 1 there, so the ratio keeps its bits."""
+    unit = 1.0
+    if not float(np.abs(M).max(initial=0.0)) * len(M) < 2.0**500:
+        unit = 2.0 ** (600 + len(M).bit_length())
+        M = M / unit
+    defect = float(np.linalg.norm(M - M.T) / max(1.0 / unit, float(np.linalg.norm(M))))
     return defect, PROXIMAL if defect <= 1e-8 else NOT_PROXIMAL if defect > 1e-6 else INCONCLUSIVE
 
 

@@ -25,13 +25,11 @@ Python float, about 470 B at n = 3 for 80 B of data.  ``run`` keeps them in
 lists for at most ``_BLOCK_STEPS`` steps (32, about 15 KB at n = 3), then
 packs each of z, x and w with one ``b"".join``, a memcpy per row that keeps
 every bit because each kernel returns a new C-contiguous float64 array, and
-the residuals into one float64 buffer; packing and freeing a block takes
-about half as long as ``np.array`` on 64-step blocks did.  A run thus holds
-about 8*(3n + 1) B per step plus one block of objects; at the end each
-field's blocks are copied into one owned, frozen array, and each block is
-dropped once it is copied.  A record's ``final_z`` and ``final_x`` are
-copies that own their data, so keeping one does not keep the record's
-(K, n) arrays alive.
+the residuals into one float64 buffer.  A run thus holds about 8*(3n + 1) B
+per step plus one block of objects; at the end each field's blocks are
+copied into one owned, frozen array, each block dropped once copied.  A
+record's ``final_z`` and ``final_x`` own their data, so keeping one does not
+keep the record's (K, n) arrays alive.
 """
 
 from __future__ import annotations
@@ -241,8 +239,8 @@ def run(problem, z0):
     """Iterate the relaxed step from z0 until the residual test or max_iters.
 
     Stops when ||z^{k+1} - z^k|| <= stop_tol (status "converged"), at the
-    first step whose residual is not finite (status "nonfinite", with that
-    step as the last row), or after max_iters steps (status "max_iters").
+    first step whose residual is not finite even rescaled (status "nonfinite",
+    with that step as the last row), or after max_iters steps ("max_iters").
     The residual is not monotone in general and is recorded as observed.
     """
     z = _start_vector(problem, z0)
@@ -266,8 +264,11 @@ def run(problem, z0):
                 status = CONVERGED
                 break
             if not math.isfinite(res):
-                status = NONFINITE
-                break
+                scale = float(np.abs(d).max())  # finite only where z_next, x and w are
+                res = rs[-1] = scale * _norm(d / scale) if math.isfinite(scale) else res
+                if not math.isfinite(res):
+                    status = NONFINITE
+                    break
         # each field's rows become one bytes object, a memcpy of each row that
         # keeps every bit: the kernels return new C-contiguous float64 arrays
         steps += len(rs)

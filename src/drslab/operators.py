@@ -9,34 +9,27 @@ is the point: it lets the splitting identities implemented downstream be
 checked to near machine precision instead of to solver tolerance.
 
 Cost model.  The dense variants (``LinearRelation``, ``Quadratic`` and a
-coupled ``Block2x2``) share one kernel, ``_affine_resolve``: on their first
-resolve at a given tau it reads the operator's graph pair (P, Q, p, q),
-inverts ``P + tau*Q`` once and keeps R = P (P + tau*Q)^{-1} (n^2 floats) on
-the instance, with the offsets ``p + tau*q`` and ``p`` that are not zero, in
-one slot.  A resolve at the same tau is then a single product (plus one
-addition per kept offset), and a resolve at a new tau replaces the slot.
-A normal cone, a quadratic with an offset or a singular inverse in a
-coupled block thus resolves too.  ``Inverse`` resolves its inner operator
-at ``1/tau``, so calls through the Moreau identity share one matrix
-whenever ``1/(1/tau) == tau`` in floating point.  ``AffineConstraint``
-builds its projector once, at construction, and adds its offset to the
-product in place: a resolve of a row stack holds its result and numpy's
-buffer for the broadcast offset, not a second block for an out-of-place sum.
-R and the projector are written into buffers that start on a 64-byte
-boundary, a cache line (``_aligned_empty``): numpy aligns its own
-allocations to 16 bytes only, and at n = 200 a product with a matrix 16
-bytes off a 32-byte boundary took about 6.0 us where one on a 32-byte
-boundary took 4.5 us (2-CPU Xeon, one BLAS thread), with the same bits.
-The benchmark's ``dense_linear`` moved from 798 to 888 ops/s with it
-(medians of 8 alternating 9 s pairs, 8 wins).  Per-step temporaries stay
-where numpy puts them.
+coupled ``Block2x2``) share one kernel, ``_affine_resolve``: the first
+resolve at a tau inverts ``P + tau*Q`` of the graph pair (P, Q, p, q) and
+keeps R = P (P + tau*Q)^{-1}, with the offsets ``p + tau*q`` and ``p`` that
+are not zero, in one slot, so a resolve at the same tau is one product (and
+one addition per kept offset); a normal cone, a quadratic with an offset or
+a singular inverse in a coupled block resolves too.  ``Inverse`` resolves
+its inner operator at ``1/tau``, so the Moreau identity shares one matrix
+whenever ``1/(1/tau) == tau``.  ``AffineConstraint`` builds its projector
+once and adds its offset in place: no second block for an out-of-place sum.
+R is kept transposed, as C-contiguous Rt, so a point's product ``x.dot(Rt)``
+is OpenBLAS's column-sweep gemv: 3.1 us at n = 200 where ``x.dot(R.T)``
+took 4.4 us (2-CPU Xeon, one BLAS thread; ``dense_linear`` 895 -> 992
+ops/s), in another summation order, so with other last bits.  Rt and the
+projector start on a 64-byte boundary (``_aligned_empty``): a product with a
+matrix 16 bytes off a 32-byte boundary, where numpy may put it, is slower at
+BLAS sizes.  The projector keeps its layout, as it is also its graph pair's P.
 
-At n <= 3 a resolve costs its numpy calls, not its flops, so the kernels use
-the cheapest entry points with the same bits: every product is the method
-``X.dot(R.T)`` (the BLAS routine ``X @ R.T`` calls, at about 1.0 us a call
-at n = 3 where ``@`` takes 2.0 us), and every 2-norm is ``_norm``, numpy's own
-``sqrt(v.dot(v))`` for a real vector without ``np.linalg.norm``'s wrapper.
-``tests/test_kernel_bits.py`` holds each kernel to the bits of the ``@``
+At n <= 3 a resolve costs its numpy calls, not its flops: every product is
+the method ``X.dot`` (1.0 us at n = 3 where ``@`` takes 2.0 us), and every
+2-norm is ``_norm``, numpy's ``sqrt(v.dot(v))`` without ``np.linalg.norm``'s
+wrapper; ``tests/test_kernel_bits.py`` holds each to the bits of the ``@``
 and ``np.linalg.norm`` forms.
 
 Construction.  Every field passes the one number gate (``_numbers``, through
@@ -230,24 +223,24 @@ def _affine_resolve(op, tau, X):
 
     x = y + tau*u with (y, u) = (P xi + p, Q xi + q) gives
     (P + tau*Q) xi = x - p - tau*q, so y = R (x - c) + p with
-    R = P (P + tau*Q)^{-1}, on a cache line, and c = p + tau*q.  The slot
-    ``op._resolvent`` = (tau, R, c, p) is refilled, all of it and read-only,
-    only for a new tau; an offset that is zero is kept as None and costs no
-    call.  n is read from X, so a dimension-free operator keeps a slot for
-    one width only.
+    R = P (P + tau*Q)^{-1}, kept transposed (see Cost model), and c = p + tau*q.
+    The slot ``op._resolvent`` = (tau, Rt, c, p) is refilled, all of it and
+    read-only, only for a new tau; an offset that is zero is kept as None and
+    costs no call.  n is read from X, so a dimension-free operator keeps a
+    slot for one width only.
     """
-    kept_tau, R, c, p = getattr(op, "_resolvent", (None,) * 4)
+    kept_tau, Rt, c, p = getattr(op, "_resolvent", (None,) * 4)
     if kept_tau != tau:
         P, Q, p, q = graph_pair(op, X.shape[-1])
         message = f"P + tau*Q of the {type(op).__name__} graph pair is singular for tau={tau}"
         inv = _linalg(np.linalg.inv, SingularSystem, message, P + tau * Q)
-        R = np.matmul(P, inv, out=_aligned_empty(inv.shape))
+        Rt = np.matmul(inv.T, P.T, out=_aligned_empty(inv.shape))
         c = p + tau * q
-        for arr in (R, c, p):
+        for arr in (Rt, c, p):
             arr.setflags(write=False)
         c, p = (c if np.any(c) else None), (p if np.any(p) else None)
-        object.__setattr__(op, "_resolvent", (tau, R, c, p))
-    Y = (X if c is None else X - c).dot(R.T)
+        object.__setattr__(op, "_resolvent", (tau, Rt, c, p))
+    Y = (X if c is None else X - c).dot(Rt)
     if p is not None:
         Y += p
     return Y

@@ -1,5 +1,8 @@
 """Cycle sums, the skew witness construction, sampling, classification."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,6 +367,36 @@ def test_classify_rejects_singular_and_expanding():
         dl.classify_resolvent(2.0 * np.eye(2))
     with pytest.raises(dl.DimensionMismatch):
         dl.classify_resolvent(np.zeros((2, 3)))
+
+
+LINEAR_ENTRIES = ("zero_zero_1d", "zero_zero_2d", "identity_pair_1d", "scaled_identities_3d",
+                  "skew_zero_2d", "random_monotone_5d")
+
+# an asymmetric generator, and the same one scaled so far up that its
+# Frobenius norm overflows unless the verdict rescales it first
+ASYMMETRIC = np.array([[1e5, 1e3], [-1e3, 1e5]])
+
+
+@pytest.mark.parametrize("M", [ASYMMETRIC, 1e150 * ASYMMETRIC], ids=["small", "overflowing"])
+def test_an_asymmetric_generator_reads_not_proximal_at_any_scale(M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no norm may overflow
+        got = dl.ResolventClassification(M)
+        back = dl.ResolventClassification.from_dict(json.loads(json.dumps(got.to_dict())))
+    assert got.verdict == dl.NOT_PROXIMAL
+    # ||M - M^T|| / ||M|| = 2e3 sqrt(2) / sqrt(2e10 + 2e6)
+    assert got.symmetry_defect == pytest.approx(2e3 * np.sqrt(2.0) / np.sqrt(2e10 + 2e6), rel=1e-14)
+    assert back.to_dict() == got.to_dict()
+
+
+@pytest.mark.parametrize("entry", LINEAR_ENTRIES, ids=LINEAR_ENTRIES)
+def test_verdict_bytes_are_the_unscaled_formula_on_the_linear_catalog(catalog_map, entry):
+    e = catalog_map[entry]
+    got = dl.classify_resolvent(dl.drs_map_matrix(e.problem, dim=e.dim))
+    M = got.recovered_M
+    defect = float(np.linalg.norm(M - M.T) / max(1.0, float(np.linalg.norm(M))))
+    verdict = dl.PROXIMAL if defect <= 1e-8 else dl.NOT_PROXIMAL if defect > 1e-6 else dl.INCONCLUSIVE
+    assert (got.symmetry_defect.hex(), got.verdict) == (defect.hex(), verdict)
 
 
 def test_classification_dict_form():

@@ -57,6 +57,28 @@ def test_run_stops_when_a_finite_start_overflows():
     assert np.isinf(record.final_z[0])
 
 
+# A = I, B = I/2: z^1 = z0/2 is finite from z0 = (1e200, 1e200), but the
+# residual's sum of squares overflows until z falls below about 1e154
+HALVING = dl.DrsProblem(dl.ScaledIdentity(1.0), dl.ScaledIdentity(0.5), max_iters=2000)
+
+
+@ignore_nonfinite_warnings  # the first norm of each overflowing step warns
+@pytest.mark.parametrize("scale, steps", [(1e200, 699), (1e150, 533)])
+def test_run_rescales_a_residual_whose_norm_alone_overflows(scale, steps):
+    record = dl.run(HALVING, [scale, scale])
+    assert (record.status, len(record)) == (dl.CONVERGED, steps)
+    assert np.all(np.isfinite(record.residual))
+    # d = z^1 - z0 = (-5e199, -5e199) in the first step: |d| = 5e199 * sqrt(2)
+    assert record.residual[0] == pytest.approx(0.5 * scale * np.sqrt(2.0), rel=1e-15)
+
+
+@ignore_nonfinite_warnings
+def test_a_nan_start_still_stops_nonfinite_on_the_halving_map():
+    record = dl.run(HALVING, [np.nan, 1e200])
+    assert (record.status, len(record)) == (dl.NONFINITE, 1)
+    assert np.isnan(record.residual[-1])
+
+
 @ignore_nonfinite_warnings
 def test_run_drs_nonfinite_start_exits_with_error(tmp_path, capsys):
     path = tmp_path / "problem.json"

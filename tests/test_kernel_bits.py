@@ -1,13 +1,16 @@
 """The step kernels give the bits of their plain numpy forms.
 
-The kernels multiply with ``X.dot(R.T)``, keep ``tau*q`` beside R, double
-by ``X + X`` and take 2-norms as ``sqrt(v.dot(v))``, because each of these
-is a cheaper numpy call than the plain form.  This file writes the plain
-forms out again (``X @ R.T`` with R = inv(I + tau*S) computed here,
-``(X - tau*q) @ R.T``, ``2.0*X - Z``, ``W - 2.0*U`` and ``np.linalg.norm``)
-and asks for byte-equal results: on points, row stacks and strided column
-slices for every zoo operator, on whole runs and lifted steps for every
-catalog problem, and on a dense n = 200 run.
+The kernels keep each resolvent matrix R transposed, as C-ordered ``Rt``,
+multiply with ``X.dot(Rt)``, keep ``tau*q`` beside it, double by ``X + X``
+and take 2-norms as ``sqrt(v.dot(v))``, because each of these is a cheaper
+numpy call than the plain form.  This file writes the plain forms out again
+(``X @ Rt`` with Rt the C-ordered transpose of R = inv(I + tau*S) computed
+here, ``(X - tau*q) @ Rt``, ``2.0*X - Z``, ``W - 2.0*U`` and
+``np.linalg.norm``) and asks for byte-equal results: on points, row stacks
+and strided column slices for every zoo operator, on whole runs and lifted
+steps for every catalog problem, and on a dense n = 200 run.  The summation
+order of ``X @ Rt`` is not that of the row-major ``X @ R.T`` the kernels
+used before; ``tests/test_row_major_reference.py`` bounds the difference.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 
 import drslab as dl
 from drslab.operators import linear_matrix
-from helpers import block_end_runs, monotone_matrix, operator_zoo, spd_matrix
+from helpers import block_end_runs, monotone_matrix, operator_zoo, reference_residual, spd_matrix
 from test_point_kernels import same_bits
 
 ZOO = operator_zoo()
@@ -32,30 +35,41 @@ DENSE_200 = [
 ]
 
 
-def plain_resolve(op, tau, X):
-    """The resolvent in its plain numpy form, with a freshly inverted matrix."""
+def kept_product(X, R):
+    """X R^T as the kernels form it: against R^T in C order, the kept layout."""
+    return X @ np.ascontiguousarray(R.T)
+
+
+def row_major_product(X, R):
+    """X R^T against R's transposed view, the layout the kernels kept before."""
+    return X @ R.T
+
+
+def plain_resolve(op, tau, X, product=kept_product):
+    """The resolvent in its plain numpy form, with a freshly inverted matrix
+    that ``product`` applies."""
     if isinstance(op, dl.Zero):
         return X.copy()
     if isinstance(op, dl.ScaledIdentity):
         return X / (1.0 + tau * op.alpha)
     if isinstance(op, dl.LinearRelation):
-        return X @ np.linalg.inv(np.eye(op.dim) + tau * op.M).T
+        return product(X, np.linalg.inv(np.eye(op.dim) + tau * op.M))
     if isinstance(op, dl.Quadratic):
-        return (X - tau * op.q) @ np.linalg.inv(np.eye(op.dim) + tau * op.Q).T
+        return product(X - tau * op.q, np.linalg.inv(np.eye(op.dim) + tau * op.Q))
     if isinstance(op, dl.L1):
         return np.sign(X) * np.maximum(np.abs(X) - tau * op.weight, 0.0)
     if isinstance(op, dl.Box):
         return np.minimum(np.maximum(X, op.lo), op.hi)
     if isinstance(op, dl.AffineConstraint):
-        return X @ op._projector.T + op._offset
+        return X @ op._projector.T + op._offset  # the projector keeps its layout
     if isinstance(op, dl.Inverse):
-        return X - tau * plain_resolve(op.inner, 1.0 / tau, X / tau)
+        return X - tau * plain_resolve(op.inner, 1.0 / tau, X / tau, product)
     if isinstance(op, dl.Block2x2):
         if not np.any(op.C):
-            left = plain_resolve(op.A, tau, X[..., : op.n1])
-            right = plain_resolve(op.B, tau, X[..., op.n1 :])
+            left = plain_resolve(op.A, tau, X[..., : op.n1], product)
+            right = plain_resolve(op.B, tau, X[..., op.n1 :], product)
             return np.concatenate([left, right], axis=-1)
-        return X @ np.linalg.inv(np.eye(op.dim) + tau * linear_matrix(op, op.dim)).T
+        return product(X, np.linalg.inv(np.eye(op.dim) + tau * linear_matrix(op, op.dim)))
     raise TypeError(type(op).__name__)
 
 
@@ -76,18 +90,18 @@ def plain_graph_residual(op, y, u):
     return float(np.linalg.norm(y - plain_resolve(op, 1.0, y + u)))
 
 
-def plain_run(problem, z0):
-    """``run`` with the plain splitting update, blend and norm."""
+def plain_run(problem, z0, product=kept_product):
+    """``run`` with the plain splitting update, blend and norm (``reference_residual``)."""
     A, B, tau, gamma = problem.A, problem.B, problem.tau, problem.gamma
     z = np.asarray(z0, dtype=float)
     zs, xs, ws, rs = [], [], [], []
     status = dl.MAX_ITERS
     for _ in range(problem.max_iters):
-        x = plain_resolve(B, tau, z)
-        w = plain_resolve(A, tau, 2.0 * x - z)
+        x = plain_resolve(B, tau, z, product)
+        w = plain_resolve(A, tau, 2.0 * x - z, product)
         z_tilde = z - x + w
         z_next = z_tilde if gamma == 1.0 else (1.0 - gamma) * z + gamma * z_tilde
-        res = float(np.linalg.norm(z_next - z))
+        res = reference_residual(z_next - z)
         zs.append(z_next)
         xs.append(x)
         ws.append(w)

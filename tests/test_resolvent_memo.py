@@ -91,12 +91,12 @@ def test_kept_matrix_is_keyed_and_read_only(name, op, tau):
     holder = op.inner if isinstance(op, dl.Inverse) else op
     key = 1.0 / tau if isinstance(op, dl.Inverse) else tau
     dl.resolve(op, tau, np.ones(op.dim))
-    kept_tau, R = holder._resolvent[:2]  # a Quadratic also keeps tau*q
+    kept_tau, Rt = holder._resolvent[:2]  # R kept transposed; a Quadratic also keeps tau*q
     assert kept_tau == key
     with pytest.raises(ValueError):
-        R[0, 0] = 0.0
-    n = R.shape[0]
-    residual = R @ (np.eye(n) + key * dense_generator(holder, n)) - np.eye(n)
+        Rt[0, 0] = 0.0
+    n = Rt.shape[0]
+    residual = Rt.T @ (np.eye(n) + key * dense_generator(holder, n)) - np.eye(n)
     assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -123,15 +123,15 @@ def test_new_tau_refreshes_the_kept_matrix_and_shift_together(op, tau1, tau2):
     P, Q, p, q = dl.graph_pair(op, op.dim)
     for tau in (tau1, tau2, tau1):
         dl.resolve(op, tau, np.ones(op.dim))
-        kept_tau, R, kept_c, kept_p = op._resolvent
+        kept_tau, Rt, kept_c, kept_p = op._resolvent
         assert kept_tau == tau
         assert kept_c.tobytes() == (p + tau * q).tobytes()
         # a zero offset is not kept
         assert kept_p is None if not np.any(p) else kept_p.tobytes() == p.tobytes()
-        for arr in (R, kept_c, kept_p)[: 2 if kept_p is None else 3]:
+        for arr in (Rt, kept_c, kept_p)[: 2 if kept_p is None else 3]:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert np.max(np.abs(R @ (P + tau * Q) - P)) <= 1e-12
+        assert np.max(np.abs(Rt.T @ (P + tau * Q) - P)) <= 1e-12
 
 
 def test_singular_factor_raises_every_time_and_is_not_kept():
@@ -155,6 +155,8 @@ def test_coupled_nonlinear_block_raises_on_every_resolve():
 
 # Kept matrices start on a 64-byte boundary, a cache line: a product with one
 # 16 bytes off a 32-byte boundary is slower at BLAS sizes, with the same bits.
+# A resolvent matrix is kept transposed, C-contiguous, so that a point's
+# product sweeps its columns.
 RNG_200 = np.random.default_rng(200)
 LARGE = (
     ("linear_200", dl.LinearRelation(monotone_matrix(RNG_200, 200))),
@@ -164,8 +166,8 @@ ALIGNED = (*DENSE, *LARGE, ("affine_block", KEPT_OFFSETS[1]))
 
 
 def kept_matrix(op, tau):
-    """The matrix op keeps after a resolve at tau, from its own slot or, for an
-    Inverse, from the slot of the operator it inverts."""
+    """The matrix op keeps after a resolve at tau, R transposed, from its own
+    slot or, for an Inverse, from the slot of the operator it inverts."""
     dl.resolve(op, tau, np.ones(op.dim))
     holder = op.inner if isinstance(op, dl.Inverse) else op
     return holder._resolvent[1]
