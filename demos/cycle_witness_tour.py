@@ -41,7 +41,8 @@ print("  (two-point cycles cannot violate, and indeed "
 print("\nthe inverse of a gradient is a gradient (conjugate duality):")
 M = np.array([[2.0, 1.0], [1.0, 2.0]])
 inverse = dl.Inverse(dl.Quadratic(M, np.zeros(2)))
-M_inv = dl.linear_matrix(inverse, 2)
+P, Q, _, _ = dl.graph_pair(inverse, 2)  # gra = {(P xi, Q xi)}, so the matrix is Q P^-1
+M_inv = Q @ np.linalg.inv(P)
 print(f"  M = {M.tolist()}   Inverse(Quadratic(M, 0)) = {np.round(3.0 * M_inv, 12).tolist()} / 3")
 print(f"  a subdifferential: {inverse.is_subdifferential}   "
       f"witness: {dl.sample_cycles(inverse, n_max=5, trials=5000, seed=0)}")

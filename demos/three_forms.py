@@ -30,12 +30,20 @@ print("splitting step ('drs').  Either way each step agrees to machine")
 print("precision, and since the map is nonexpansive the sum of the one-step")
 print("defects bounds how far the forms' own trajectories drift apart.")
 
-# peek at the first few iterates of a nonsmooth problem, each form on its own
-entry = dl.catalog_by_name("l1_quadratic_1d")
-trajs, _ = dl.formulation_trajectories(entry.problem, [5.0], iters=5)
+# peek at the first few iterates of a nonsmooth problem, each form on its own:
+# the recursion on z, the lifted step on (u, s, z), the reduced resolvent on
+# v = z / sqrt(tau), scaled back to z
+problem = dl.catalog_by_name("l1_quadratic_1d").problem
+system = dl.BlockSystem(problem.A, problem.B, problem.tau, 1)
+z = np.array([5.0])
+state, v = dl.initial_state(system, z), z / system.root_tau
+rows = [(z, z, z)]
+for _ in range(5):
+    z, state = dl.drs_step(problem, z), dl.ppa_step(system, state)
+    v = dl.reduced_resolvent_via_drs(system, v)
+    rows.append((z, state.z, system.root_tau * v))
 print("\nfirst iterates from z0 = 5 on the soft-threshold problem:")
-header = " ".join(f"{name:>12}" for name in trajs)
+header = " ".join(f"{name:>12}" for name in ("recursion", "lifted", "reduced"))
 print(f"   k {header}")
-for k in range(6):
-    row = " ".join(f"{trajs[name][k][0]:>12.8f}" for name in trajs)
-    print(f"   {k} {row}")
+for k, row in enumerate(rows):
+    print(f"   {k} " + " ".join(f"{iterate[0]:>12.8f}" for iterate in row))

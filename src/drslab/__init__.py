@@ -3,8 +3,8 @@
 Douglas-Rachford splitting in three provably equivalent forms (the
 classical recursion, a lifted 4-variable proximal-point form, and a
 reduced resolvent), an operator catalog with exact resolvents, and a
-test bench showing that the splitting map is always a resolvent but is
-a proximal mapping only in dimension one.
+test bench showing that the splitting map is always a resolvent but in
+general not a proximal mapping.
 
 Importing the package loads the solve half (``operators``, ``drs`` and
 ``catalog``).  The analysis half (``blocks``, ``ppa``, ``equivalence`` and
@@ -53,7 +53,6 @@ from .operators import (
     graph_member,
     graph_pair,
     graph_residual,
-    linear_matrix,
     moreau_residual,
     operator_from_dict,
     resolve,
@@ -62,12 +61,11 @@ from .operators import (
 
 #: Each name of the analysis half, and each of its modules, to its home module.
 _LAZY = {name: home for home, names in {
-    "blocks": "BlockSystem coupling_gram reduced_resolvent_direct"
-              " reduced_resolvent_fukushima reduced_resolvent_via_drs",
+    "blocks": "BlockSystem coupling_gram reduced_resolvent_direct reduced_resolvent_via_drs",
     "cyclic": "INCONCLUSIVE NOT_PROXIMAL PROXIMAL CycleWitness ResolventClassification"
               " classify_resolvent cycle_sum drs_map_matrix sample_cycles skew_three_cycle",
     "equivalence": "LIFTED RECURSION REDUCED REDUCED_DIRECT REDUCED_FALLBACK EquivalenceReport"
-                   " compare_formulations formulation_trajectories",
+                   " compare_formulations",
     "ppa": "PpaState PpaSystem initial_state ppa_inclusion_residual ppa_step",
 }.items() for name in (home, *names.split())}
 

@@ -9,7 +9,7 @@ built from
     L = [[B^{-1}, -tau*I], [tau*I, A^{-1}]]      (2n x 2n)
     K = sqrt(tau) * [I  I]                       (n x 2n)
 
-and can be evaluated three independent ways:
+and can be evaluated two independent ways:
 
 * ``reduced_resolvent_via_drs``: rescale, take one splitting step,
   rescale back.  Works for every catalog operator.
@@ -17,20 +17,15 @@ and can be evaluated three independent ways:
   A and B, one 3n x 3n system G of their graph pairs (``graph_pair``),
   inverted once.  Works for every affine operator, singular ones included:
   a nonsingular G is a well-defined resolvent.
-* ``reduced_resolvent_fukushima``: the complement form
-  v - K (L + K^T K)^{-1} K^T v, equal by a Woodbury rearrangement, from one
-  2n x 2n solve on the graph pair of L.  It covers what the direct path
-  covers, independently: the direct path eliminates on A's and B's pairs.
 
-All three must agree to near machine precision; the test suite holds
-them to 1e-10.  The reduced leg of ``equivalence.formulation_trajectories``
-iterates the direct kernel or, for an operator with no graph pair (``L1``,
-``Box``), the one-step kernel: the very functions the first two paths apply.
+Both must agree to near machine precision with each other and with the
+test suite's complement form, v - K (L + K^T K)^{-1} K^T v, which solves on
+the graph pair of L; the tests hold them to 1e-10.
 
 L is the catalog operator ``Block2x2(Inverse(B), Inverse(A), tau*I)``, built
 once by the system and kept as ``system.L``; every lifted path reads it.  No
-path makes it dense: the complement form and ``coupling_gram`` read its graph
-pair, and the lifted step resolves its diagonal blocks.
+path makes it dense: ``coupling_gram`` reads its graph pair, and the lifted
+step resolves its diagonal blocks.
 """
 
 from __future__ import annotations
@@ -87,31 +82,17 @@ class BlockSystem(Document):
         return D
 
 
-def _lifted_solve(sys, V, coupled, message):
-    """(K, X): K = sqrt(tau) [I I] and the rows x with K^T v in (L + K^T K) x,
-    or in L x if not coupled, one for each row v of V, read from the graph pair
-    (P, Q, p, q) of L: x = P xi + p, (Q + K^T K P) xi = K^T v - q - K^T K p.
-    No block is inverted, so a singular one is no obstacle.  Not coupled, the
-    rows are those of a matrix L^{-1}: NotLinear for an L with an offset.
-    SingularSystem(message) for a singular system."""
+def coupling_gram(sys):
+    """The dense n x n matrix K L^{-1} K^T, K = sqrt(tau) [I I], from the graph
+    pair (P, Q, p, q) of L: L^{-1} K^T = P xi with Q xi = K^T, so no block is
+    inverted and a singular one is no obstacle.  NotLinear for an L with an
+    offset, SingularSystem when L^{-1} is no map."""
     K = sys.root_tau * np.hstack([np.eye(sys.n)] * 2)
     P, Q, p, q = graph_pair(sys.L, 2 * sys.n)
-    Y = V @ K - q
-    if coupled:
-        KtK = K.T @ K
-        Q, Y = Q + KtK @ P, Y - KtK @ p
-    elif np.any(p) or np.any(q):
+    if np.any(p) or np.any(q):
         raise NotLinear("L has a nonzero offset, so K L^{-1} K^T is affine, not linear")
-    xi = _linalg(np.linalg.solve, SingularSystem, message, Q, Y.T).T
-    return K, xi @ P.T + p
-
-
-def coupling_gram(sys):
-    """The dense n x n matrix K L^{-1} K^T, from the graph pair of L (see
-    ``_lifted_solve``); NotLinear for an L with an offset, SingularSystem when
-    L^{-1} is no map."""
-    K, X = _lifted_solve(sys, np.eye(sys.n), False, "lifted block matrix L is singular")
-    return K @ X.T
+    xi = _linalg(np.linalg.solve, SingularSystem, "lifted block matrix L is singular", Q, K.T).T
+    return K @ (xi @ P.T).T
 
 
 def _drs_kernel(sys):
@@ -153,11 +134,3 @@ def reduced_resolvent_direct(sys, v):
     pairs; NotLinear for an operator with none, SingularSystem for a singular G."""
     return _direct_kernel(sys)(_points(v, "v", dim=sys.n))
 
-
-def reduced_resolvent_fukushima(sys, v):
-    """Evaluate the reduced resolvent in complement form, v - K (L + K^T K)^{-1} K^T v,
-    equal to the direct path by the Woodbury identity, from the graph pair of L;
-    NotLinear for an operator with none, SingularSystem for a singular system."""
-    V = _points(v, "v", dim=sys.n)
-    K, X = _lifted_solve(sys, V, True, "L + K^T K is singular")
-    return V - X @ K.T

@@ -17,11 +17,7 @@ after any number of trials proves nothing.
 Memory.  The search holds three working blocks of about ``_BLOCK_ROWS``
 graph points: the draw W, which the values u overwrite, the points p, and
 the cyclic differences, formed in place in a copy of p rotated by one
-position (``np.concatenate`` of two slices: the copy ``np.roll`` makes,
-without its index handling).  Nothing else of block size stays alive: a
-coupled ``Block2x2`` samples each column block on a contiguous copy of its
-columns and writes the result back by assignment, because numpy buffers
-each strided operand of a ufunc (up to 8,192 elements, 64 KB, each).
+position.  Nothing else of block size stays alive (see ``_graph_points``).
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from .operators import (
     Document,
     _check_monotone,
     _check_square,
-    _frozen_array,
+    _finite_array,
     _integer,
     _linalg,
     _numbers,
@@ -122,7 +118,7 @@ class ResolventClassification(Document):
     _written = ("symmetry_defect", "verdict")
 
     def __post_init__(self):
-        M = _frozen_array(self.recovered_M, 2, "recovered_M")
+        M = _finite_array(self.recovered_M, 2, "recovered_M")
         _check_square(M, "recovered_M")
         object.__setattr__(self, "recovered_M", M)
         defect, verdict = _symmetry_verdict(M)
@@ -234,9 +230,9 @@ def _graph_points(op, W):
     coupled block samples A and B on contiguous copies of their columns, each
     written back into W as soon as it returns, then couples one side at a
     time, again on a contiguous copy: no ufunc runs on a strided column view
-    of W, whose operands numpy would buffer (128 KB for ``U -= T`` at
-    2048 x 4), and a call holds at most W, the points of both sides, and one
-    copied column block with its coupling product.
+    of W, whose operands numpy would buffer, and a call holds at most W, the
+    points of both sides, and one copied column block with its coupling
+    product.
     """
     if isinstance(op, Block2x2):
         n1, C = op.n1, op.C

@@ -10,26 +10,15 @@ and the relaxed variant blends z+ with z:  (1-gamma)*z + gamma*z+.
 For gamma in (0, 2) the relaxed map is gamma/2-averaged; gamma = 2 is
 accepted but only nonexpansive, so the driver warns about it.
 
-Cost model.  ``splitting_pass`` checks its inputs like ``resolve``, then
-calls the unchecked kernel ``_splitting_rows`` on the point or row stack.
-``run`` checks z0 once and iterates that kernel on the 1-D point: two
-resolvent kernel calls (``op._resolve``) plus a few n-vector operations per
-step (the reflection, the update, the relaxed blend and the residual).  At
-small n each of these costs its numpy calls, so the reflection is
-``X + X - Z`` (doubling is exact: the bits of ``2.0*X - Z``, without turning
-2.0 into an array) and the residual is ``operators._norm`` (the bits of
-``np.linalg.norm``).
+Kernels.  ``splitting_pass`` checks its inputs, then calls the unchecked
+kernel ``_splitting_rows``; ``run`` checks z0 once and iterates that kernel
+on the 1-D point.  The reflection ``X + X - Z`` has the bits of
+``2.0*X - Z``, and the residual ``operators._norm`` those of ``np.linalg.norm``.
 
-Memory.  A step's z, x and w are three ndarray objects and its residual a
-Python float, about 470 B at n = 3 for 80 B of data.  ``run`` keeps them in
-lists for at most ``_BLOCK_STEPS`` steps (32, about 15 KB at n = 3), then
-packs each of z, x and w with one ``b"".join``, a memcpy per row that keeps
-every bit because each kernel returns a new C-contiguous float64 array, and
-the residuals into one float64 buffer.  A run thus holds about 8*(3n + 1) B
-per step plus one block of objects; at the end each field's blocks are
-copied into one owned, frozen array, each block dropped once copied.  A
-record's ``final_z`` and ``final_x`` own their data, so keeping one does not
-keep the record's (K, n) arrays alive.
+Records.  ``run`` packs its steps into bytes every ``_BLOCK_STEPS`` steps,
+keeping every bit, and at the end copies each field's blocks into one owned,
+frozen array (``_joined``).  A record's ``final_z`` and ``final_x`` own their
+data, so keeping one does not keep the record's (K, n) arrays alive.
 """
 
 from __future__ import annotations
@@ -60,10 +49,8 @@ NONFINITE = "nonfinite"
 DEFAULT_STOP_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100_000
 
-# Steps that run keeps as per-step objects before packing them.  Fewer keep
-# fewer objects alive but add a header per block: at 32 a 100k-step run at
-# n = 3 peaks at 10.9 MB for 8 MB of data (11.4 MB at 16, 10.7 MB at 64), and
-# a 150-step run at 28 KB (44 KB at 64).
+# Steps that run keeps as per-step objects before packing them: fewer keep
+# fewer objects alive, more add fewer block headers (README, Cost model).
 _BLOCK_STEPS = 32
 
 

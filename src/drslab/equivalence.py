@@ -8,8 +8,7 @@ z_k.  Per pair it reports the one-step defects delta_k, the 2-norms of the
 differences of the two images of z_k: the largest (``step_defects``, the
 paper's per-step claim) and their sum (``pairwise``).  T is nonexpansive,
 so the sum bounds, up to rounding, how far the two forms drift apart when
-each is iterated on its own, which ``formulation_trajectories`` does: the
-independent reference.
+each is iterated on its own, as the test suite's reference does.
 
 The reduced leg applies ``blocks``' direct kernel, the one
 ``reduced_resolvent_direct`` applies, whenever both operators are affine,
@@ -99,25 +98,6 @@ def _recursion(problem, z0, iters):
         return zs, system, REDUCED_DIRECT, _direct_kernel(system)
     except NotLinear:
         return zs, system, REDUCED_FALLBACK, _drs_kernel(system)
-
-
-def formulation_trajectories(problem, z0, iters):
-    """z-trajectories (iters+1 rows each) of the three formulations, each iterated
-    on its own from z0.
-
-    Returns (trajectories, reduced_path) where trajectories maps the
-    formulation name to an array of shape (iters+1, n) starting at z0.
-    Only the unrelaxed map is compared, here and in ``compare_formulations``:
-    a problem with gamma != 1 raises ValueError until the relaxed legs exist.
-    """
-    zs, system, reduced_path, kernel = _recursion(problem, z0, iters)
-    z0, iters, tau, rt = zs[0], len(zs) - 1, system.tau, system.root_tau
-    # lifted 4-variable form, z component, on the ppa kernel and the system's L
-    zl = _trajectory(lambda Z: _lifted_rows(system.L, tau, Z)[2], z0, iters)
-    # reduced form, iterated in v coordinates and scaled back to z
-    zr = rt * _trajectory(kernel, z0 / rt, iters)
-    zr[0] = z0
-    return {RECURSION: zs, LIFTED: zl, REDUCED: zr}, reduced_path
 
 
 def compare_formulations(problem, z0, iters=100):

@@ -8,29 +8,25 @@ either in closed form or through a single dense matrix product.  Exactness
 is the point: it lets the splitting identities implemented downstream be
 checked to near machine precision instead of to solver tolerance.
 
-Cost model.  The dense variants (``LinearRelation``, ``Quadratic`` and a
+Kept matrices.  The dense variants (``LinearRelation``, ``Quadratic`` and a
 coupled ``Block2x2``) share one kernel, ``_affine_resolve``: the first
 resolve at a tau inverts ``P + tau*Q`` of the graph pair (P, Q, p, q) and
 keeps R = P (P + tau*Q)^{-1}, with the offsets ``p + tau*q`` and ``p`` that
 are not zero, in one slot, so a resolve at the same tau is one product (and
-one addition per kept offset); a normal cone, a quadratic with an offset or
-a singular inverse in a coupled block resolves too.  ``Inverse`` resolves
-its inner operator at ``1/tau``, so the Moreau identity shares one matrix
-whenever ``1/(1/tau) == tau``.  ``AffineConstraint`` builds its projector
-once and adds its offset in place: no second block for an out-of-place sum.
-R is kept transposed, as C-contiguous Rt, so a point's product ``x.dot(Rt)``
-is OpenBLAS's column-sweep gemv: 3.1 us at n = 200 where ``x.dot(R.T)``
-took 4.4 us (2-CPU Xeon, one BLAS thread; ``dense_linear`` 895 -> 992
-ops/s), in another summation order, so with other last bits.  Rt and the
-projector start on a 64-byte boundary (``_aligned_empty``): a product with a
-matrix 16 bytes off a 32-byte boundary, where numpy may put it, is slower at
-BLAS sizes.  The projector keeps its layout, as it is also its graph pair's P.
+one addition per kept offset).  ``Inverse`` resolves its inner operator at
+``1/tau``, so the Moreau identity shares one matrix whenever
+``1/(1/tau) == tau``.  ``AffineConstraint`` builds its projector once and
+adds its offset in place: no second block for an out-of-place sum.  R is
+kept transposed, as C-contiguous Rt, so a point's product ``x.dot(Rt)`` is
+OpenBLAS's column-sweep gemv, in another summation order than
+``x.dot(R.T)``, so with other last bits.  Rt and the projector start on a
+64-byte boundary (``_aligned_empty``): numpy may put a matrix 16 bytes off
+one, and a BLAS product with it is then slower.  The projector keeps its
+layout, as it is also its graph pair's P.
 
-At n <= 3 a resolve costs its numpy calls, not its flops: every product is
-the method ``X.dot`` (1.0 us at n = 3 where ``@`` takes 2.0 us), and every
-2-norm is ``_norm``, numpy's ``sqrt(v.dot(v))`` without ``np.linalg.norm``'s
-wrapper; ``tests/test_kernel_bits.py`` holds each to the bits of the ``@``
-and ``np.linalg.norm`` forms.
+A resolve at n <= 3 costs its numpy calls, not its flops, so every product
+is the method ``X.dot`` and every 2-norm ``_norm``: ``tests/test_kernel_bits.py``
+holds each to the bits of the ``@`` and ``np.linalg.norm`` forms.
 
 Construction.  Every field passes the one number gate (``_numbers``, through
 ``_scalar`` for one number, ``_integer`` for a count or a seed and
@@ -44,8 +40,7 @@ proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 
 Graph pairs.  ``graph_pair`` reads an affine operator, multivalued too, as
 (P, Q, p, q) with gra op = {(P xi + p, Q xi + q)}; an ``Inverse`` swaps its
-operator's pair.  ``linear_matrix`` is Q P^{-1}, for a pair with no offset
-and an invertible P.
+operator's pair.
 
 Operators are immutable values; the kept matrix is a cache that never
 changes a result.  Every kernel (``_resolve``) and ``resolve`` accept a
@@ -64,7 +59,6 @@ fields; it is not a field, so no ``repr`` shows it.  A document also carries
 the derived values its class names ``_written`` (a record's ``k``, a report's
 ``max_deviation``), and ``from_dict`` refuses one whose copy disagrees with
 what its fields give.
-It replaces ``dataclass``, whose generated methods took 7 ms of import.
 """
 
 from __future__ import annotations
@@ -209,7 +203,7 @@ def _linalg(fn, error, message, *args):
 
 def _aligned_empty(shape):
     """An uninitialized C-contiguous float array that starts on a 64-byte
-    boundary (see Cost model): a slice of a buffer 8 floats longer."""
+    boundary (see Kept matrices): a slice of a buffer 8 floats longer."""
     size = math.prod(shape)
     buffer = np.empty(size + 8)
     start = -buffer.__array_interface__["data"][0] % 64 // 8
@@ -223,7 +217,7 @@ def _affine_resolve(op, tau, X):
 
     x = y + tau*u with (y, u) = (P xi + p, Q xi + q) gives
     (P + tau*Q) xi = x - p - tau*q, so y = R (x - c) + p with
-    R = P (P + tau*Q)^{-1}, kept transposed (see Cost model), and c = p + tau*q.
+    R = P (P + tau*Q)^{-1}, kept transposed (see Kept matrices), and c = p + tau*q.
     The slot ``op._resolvent`` = (tau, Rt, c, p) is refilled, all of it and
     read-only, only for a new tau; an offset that is zero is kept as None and
     costs no call.  n is read from X, so a dimension-free operator keeps a
@@ -277,7 +271,7 @@ class Document:
     record is immutable (AttributeError), equal only to itself, and prints as
     a dataclass does.  One field table does what
     ``@dataclass(frozen=True, eq=False)`` did with four methods generated and
-    exec-ed for each class at import, about 0.5 ms a class.
+    exec-ed for each class at import.
 
     ``to_dict`` writes every field by name, then each derived value named in
     ``_written``; ``from_dict`` passes the fields back, decoding a field
@@ -686,14 +680,6 @@ def graph_pair(op, n):
         Q = np.block([[QA, -C.T @ PB], [C @ PA, QB]])
         return P, Q, np.concatenate([pA, pB]), np.concatenate([qA - C.T @ pB, qB + C @ pA])
     raise NotLinear(f"{type(op).__name__} is not affine: it has no graph pair")
-
-
-def linear_matrix(op, n):
-    """Dense matrix M with op(x) = M x (see Graph pairs above), else NotLinear."""
-    P, Q, p, q = graph_pair(op, n)
-    if np.any(p) or np.any(q):
-        raise NotLinear(f"{type(op).__name__} with a nonzero offset is affine, not linear")
-    return Q @ _linalg(np.linalg.inv, NotLinear, "inverse of a singular matrix is a relation, not a map", P)
 
 
 def _points(x, name, dim=None, ndim=2):

@@ -1,5 +1,8 @@
-"""Shared test fixtures: deterministic operators, sampling utilities and the
-reference loops of ``run`` and ``sample_cycles``."""
+"""Shared test fixtures: deterministic operators, sampling utilities, the
+reference loops of ``run`` and ``sample_cycles``, and the independent
+references the package's own paths are checked against: the three forms
+iterated on their own, the complement form of the reduced resolvent, and the
+matrix of a linear operator."""
 
 import math
 
@@ -8,7 +11,10 @@ import numpy as np
 import drslab as dl
 from drslab.cyclic import TOL_VIOLATION, CycleWitness, _graph_points
 from drslab.drs import _BLOCK_STEPS
-from drslab.errors import DimensionMismatch
+from drslab.equivalence import LIFTED, RECURSION, REDUCED, _recursion, _trajectory
+from drslab.errors import DimensionMismatch, NotLinear, SingularSystem
+from drslab.operators import _linalg, _points, graph_pair
+from drslab.ppa import _lifted_rows
 
 
 def rotation():
@@ -183,3 +189,52 @@ def one_shot_sample_cycles(op, n_max, trials, seed, dim=None):
                 float(sums[t]),
             )
     return None
+
+
+def formulation_trajectories(problem, z0, iters):
+    """z-trajectories (iters+1 rows each) of the three formulations, each iterated
+    on its own from z0.
+
+    Returns (trajectories, reduced_path) where trajectories maps the
+    formulation name to an array of shape (iters+1, n) starting at z0.
+    Only the unrelaxed map is compared, here and in ``compare_formulations``:
+    a problem with gamma != 1 raises ValueError until the relaxed legs exist.
+    """
+    zs, system, reduced_path, kernel = _recursion(problem, z0, iters)
+    z0, iters, tau, rt = zs[0], len(zs) - 1, system.tau, system.root_tau
+    # lifted 4-variable form, z component, on the ppa kernel and the system's L
+    zl = _trajectory(lambda Z: _lifted_rows(system.L, tau, Z)[2], z0, iters)
+    # reduced form, iterated in v coordinates and scaled back to z
+    zr = rt * _trajectory(kernel, z0 / rt, iters)
+    zr[0] = z0
+    return {RECURSION: zs, LIFTED: zl, REDUCED: zr}, reduced_path
+
+
+def reduced_resolvent_fukushima(sys, v):
+    """Evaluate the reduced resolvent in complement form, v - K (L + K^T K)^{-1} K^T v,
+    equal to the direct path by the Woodbury identity, from the graph pair of L;
+    NotLinear for an operator with none, SingularSystem for a singular system.
+
+    With K = sqrt(tau) [I I] and the graph pair (P, Q, p, q) of L, the rows x
+    with K^T v in (L + K^T K) x are x = P xi + p,
+    (Q + K^T K P) xi = K^T v - q - K^T K p: no block is inverted, so a
+    singular one is no obstacle.
+    """
+    V = _points(v, "v", dim=sys.n)
+    K = sys.root_tau * np.hstack([np.eye(sys.n)] * 2)
+    P, Q, p, q = graph_pair(sys.L, 2 * sys.n)
+    Y = V @ K - q
+    KtK = K.T @ K
+    Q, Y = Q + KtK @ P, Y - KtK @ p
+    xi = _linalg(np.linalg.solve, SingularSystem, "L + K^T K is singular", Q, Y.T).T
+    X = xi @ P.T + p
+    return V - X @ K.T
+
+
+def linear_matrix(op, n):
+    """Dense matrix M with op(x) = M x, Q P^{-1} of the graph pair (P, Q, p, q),
+    else NotLinear: for an offset, and for a singular P (a multivalued relation)."""
+    P, Q, p, q = graph_pair(op, n)
+    if np.any(p) or np.any(q):
+        raise NotLinear(f"{type(op).__name__} with a nonzero offset is affine, not linear")
+    return Q @ _linalg(np.linalg.inv, NotLinear, "inverse of a singular matrix is a relation, not a map", P)

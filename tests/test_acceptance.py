@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import drslab as dl
-from helpers import operator_zoo, rotation, spd_matrix
+from helpers import operator_zoo, reduced_resolvent_fukushima, rotation, spd_matrix
 
 
 def _report(num, name, ok, detail=""):
@@ -205,7 +205,7 @@ def test_criterion_7_moreau_and_complement_identities(catalog):
         V = 2.0 * rng.standard_normal((100, entry.dim))
         gap = np.max(
             np.abs(
-                dl.reduced_resolvent_fukushima(sys, V)
+                reduced_resolvent_fukushima(sys, V)
                 - dl.reduced_resolvent_via_drs(sys, V)
             )
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import drslab as dl
-from helpers import monotone_matrix, rotation, sample_points, spd_matrix
+from helpers import monotone_matrix, reduced_resolvent_fukushima, rotation, sample_points, spd_matrix
 
 
 def identity_pair(n=1, tau=1.0):
@@ -87,7 +87,7 @@ def test_lifted_paths_reject_prox_operators():
     with pytest.raises(dl.NotLinear, match="^L1 is not affine"):
         dl.coupling_gram(sys)
     with pytest.raises(dl.NotLinear, match="^L1 is not affine"):
-        dl.reduced_resolvent_fukushima(sys, np.ones(2))
+        reduced_resolvent_fukushima(sys, np.ones(2))
 
 
 def test_coupling_gram_refuses_an_offset():
@@ -119,7 +119,7 @@ def test_fukushima_identity_pair_hand_solve():
     # G w = K^T 4 = (4, 4) gives w = (2, 0), so the value is 4 - K w = 2
     w = np.linalg.solve(G, np.array([4.0, 4.0]))
     assert np.allclose(w, [2.0, 0.0])
-    got = dl.reduced_resolvent_fukushima(sys, np.array([4.0]))
+    got = reduced_resolvent_fukushima(sys, np.array([4.0]))
     assert got == pytest.approx([2.0])
 
 
@@ -145,7 +145,7 @@ def test_three_paths_agree_on_linear_systems():
         V = sample_points(rng, 100, sys.n)
         a = dl.reduced_resolvent_via_drs(sys, V)
         b = dl.reduced_resolvent_direct(sys, V)
-        c = dl.reduced_resolvent_fukushima(sys, V)
+        c = reduced_resolvent_fukushima(sys, V)
         assert np.max(np.abs(a - b)) <= 1e-10
         assert np.max(np.abs(b - c)) <= 1e-10
         assert np.max(np.abs(a - c)) <= 1e-10

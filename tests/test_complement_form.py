@@ -1,20 +1,20 @@
 """The complement form agrees with the direct kernel on every affine system.
 
-``reduced_resolvent_fukushima`` solves one 2n x 2n system on the graph pair
-of the lifted operator L; ``reduced_resolvent_direct`` eliminates one 3n x 3n
-system on the graph pairs of A and B.  On the linear catalog entries, the
-two-lines grid and the dimension-matched pairs of the operator zoo (offsets
-and singular blocks included), each at three step sizes, both answer, and
-agree with each other and with one splitting step to 1e-14 relative.  Only a
-system with an ``L1`` or ``Box`` operator, which has no graph pair, is
-refused with NotLinear.
+``helpers.reduced_resolvent_fukushima``, the test suite's reference, solves
+one 2n x 2n system on the graph pair of the lifted operator L;
+``reduced_resolvent_direct`` eliminates one 3n x 3n system on the graph
+pairs of A and B.  On the linear catalog entries, the two-lines grid and the
+dimension-matched pairs of the operator zoo (offsets and singular blocks
+included), each at three step sizes, both answer, and agree with each other
+and with one splitting step to 1e-14 relative.  Only a system with an ``L1``
+or ``Box`` operator, which has no graph pair, is refused with NotLinear.
 """
 
 import numpy as np
 import pytest
 
 import drslab as dl
-from helpers import TWO_LINES_GRID, operator_zoo, two_lines
+from helpers import TWO_LINES_GRID, operator_zoo, reduced_resolvent_fukushima, two_lines
 
 TAUS = (0.3, 1.0, 2.5)
 
@@ -54,10 +54,10 @@ def test_the_three_reduced_paths_agree_on_affine_systems(A, B, n, tau, affine):
         with pytest.raises(dl.NotLinear, match=NO_PAIR):
             dl.reduced_resolvent_direct(system, V)
         with pytest.raises(dl.NotLinear, match=NO_PAIR):
-            dl.reduced_resolvent_fukushima(system, V)
+            reduced_resolvent_fukushima(system, V)
         return
     direct = dl.reduced_resolvent_direct(system, V)
-    assert _gap(dl.reduced_resolvent_fukushima(system, V), direct) <= 1e-14
+    assert _gap(reduced_resolvent_fukushima(system, V), direct) <= 1e-14
     assert _gap(via_drs, direct) <= 1e-14
     for v, row in zip(V, direct):
-        assert _gap(dl.reduced_resolvent_fukushima(system, v), row) <= 1e-14
+        assert _gap(reduced_resolvent_fukushima(system, v), row) <= 1e-14

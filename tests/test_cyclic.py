@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from helpers import monotone_matrix, operator_zoo, rotation, spd_matrix
+from helpers import linear_matrix, monotone_matrix, operator_zoo, rotation, spd_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ def inverse_of_gradient(M):
     n = M.shape[0]
     inverse = dl.Inverse(dl.Quadratic(M, np.zeros(n)))
     assert inverse.is_subdifferential
-    M_inv = dl.linear_matrix(inverse, n)
+    M_inv = linear_matrix(inverse, n)
     dl.Quadratic(M_inv, np.zeros(n))
     assert dl.sample_cycles(inverse, 5, 500, 0) is None
     return M_inv

@@ -5,12 +5,12 @@ import pytest
 
 import drslab as dl
 from drslab.equivalence import LIFTED, RECURSION, REDUCED
-from helpers import two_lines
+from helpers import formulation_trajectories, two_lines
 
 
 def trajectory_gaps(problem, z0, iters):
     """Per pair of formulations, the largest gap between their own trajectories."""
-    trajs, _ = dl.formulation_trajectories(problem, z0, iters)
+    trajs, _ = formulation_trajectories(problem, z0, iters)
     gaps = {}
     for pair in ("recursion-lifted", "recursion-reduced", "lifted-reduced"):
         a, b = pair.split("-")
@@ -20,7 +20,7 @@ def trajectory_gaps(problem, z0, iters):
 
 def test_trajectories_start_at_z0_and_have_right_shape():
     problem = dl.DrsProblem(A=dl.L1(1.0), B=dl.Quadratic(np.eye(1), np.array([-1.0])))
-    trajs, path = dl.formulation_trajectories(problem, [0.5], iters=7)
+    trajs, path = formulation_trajectories(problem, [0.5], iters=7)
     assert set(trajs) == {RECURSION, LIFTED, REDUCED}
     for name, arr in trajs.items():
         assert arr.shape == (8, 1)
@@ -82,10 +82,10 @@ def test_pairwise_keys_and_report_dict():
 def test_formulation_trajectories_validation():
     problem = dl.DrsProblem(A=dl.ScaledIdentity(1.0), B=dl.ScaledIdentity(1.0))
     with pytest.raises(ValueError):
-        dl.formulation_trajectories(problem, [1.0], iters=0)
+        formulation_trajectories(problem, [1.0], iters=0)
     sized = dl.DrsProblem(A=dl.LinearRelation(np.eye(2)), B=dl.Zero())
     with pytest.raises(dl.DimensionMismatch):
-        dl.formulation_trajectories(sized, [1.0, 2.0, 3.0], iters=3)
+        formulation_trajectories(sized, [1.0, 2.0, 3.0], iters=3)
 
 
 def test_reduced_leg_is_the_iterated_reduced_resolvent(catalog):
@@ -101,7 +101,7 @@ def test_reduced_leg_is_the_iterated_reduced_resolvent(catalog):
         except dl.NotLinear:
             expected_path, reduced_step = dl.REDUCED_FALLBACK, dl.reduced_resolvent_via_drs
         z0 = 2.0 * rng.standard_normal(n)
-        trajs, path = dl.formulation_trajectories(problem, z0, iters=40)
+        trajs, path = formulation_trajectories(problem, z0, iters=40)
         assert path == expected_path, entry.name
         expected = [z0]
         v = z0 / system.root_tau
@@ -128,7 +128,7 @@ def test_step_defects_are_the_one_step_defects_at_the_recursions_points(catalog_
     entry = catalog_map["random_monotone_5d"]
     problem, z0 = entry.problem, np.linspace(-1.0, 1.0, entry.dim)
     report = dl.compare_formulations(problem, z0, iters=30)
-    zs = dl.formulation_trajectories(problem, z0, iters=30)[0][RECURSION]
+    zs = formulation_trajectories(problem, z0, iters=30)[0][RECURSION]
     system = dl.BlockSystem(problem.A, problem.B, problem.tau, entry.dim)
     rt = system.root_tau
     images = {

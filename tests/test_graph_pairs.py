@@ -6,7 +6,7 @@ import pytest
 
 import drslab as dl
 from drslab.blocks import _direct_kernel
-from helpers import TWO_LINES_GRID, operator_zoo, two_lines
+from helpers import TWO_LINES_GRID, linear_matrix, operator_zoo, two_lines
 
 ZOO = operator_zoo()
 NOT_AFFINE = {"l1", "box", "inverse_l1"}
@@ -39,14 +39,14 @@ def test_graph_pair_checks_the_dimension():
     with pytest.raises(dl.DimensionMismatch, match="^operator acts on dimension 2, not 3$"):
         dl.graph_pair(dl.LinearRelation(np.eye(2)), 3)
     with pytest.raises(dl.DimensionMismatch, match="^operator acts on dimension 2, not 3$"):
-        dl.linear_matrix(dl.LinearRelation(np.eye(2)), 3)
+        linear_matrix(dl.LinearRelation(np.eye(2)), 3)
 
 
 def test_linear_matrix_refuses_an_offset_and_a_multivalued_relation():
     with pytest.raises(dl.NotLinear, match="^AffineConstraint with a nonzero offset is affine, not linear$"):
-        dl.linear_matrix(dl.AffineConstraint([[1.0, 1.0]], [1.0]), 2)
+        linear_matrix(dl.AffineConstraint([[1.0, 1.0]], [1.0]), 2)
     with pytest.raises(dl.NotLinear, match="^inverse of a singular matrix is a relation, not a map$"):
-        dl.linear_matrix(dl.AffineConstraint([[1.0, 1.0]], [0.0]), 2)
+        linear_matrix(dl.AffineConstraint([[1.0, 1.0]], [0.0]), 2)
 
 
 def _affine_zoo_systems():

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 import drslab as dl
-from drslab.operators import linear_matrix
-from helpers import block_end_runs, monotone_matrix, operator_zoo, reference_residual, spd_matrix
+from helpers import block_end_runs, linear_matrix, monotone_matrix, operator_zoo, reference_residual, spd_matrix
 from test_point_kernels import same_bits
 
 ZOO = operator_zoo()

@@ -1,7 +1,7 @@
 """The checked-once loops against the public per-step functions, bit for bit.
 
-``run`` and the recursion and lifted legs of ``formulation_trajectories``
-iterate unchecked kernels on a 1-D point.  These tests rebuild each loop
+``run`` and the recursion and lifted legs of the test suite's
+``helpers.formulation_trajectories`` iterate unchecked kernels on a 1-D point.  These tests rebuild each loop
 from the public, checked ``splitting_pass`` (on (1, n) rows for ``run``),
 ``drs_step`` and ``ppa_step`` and ask for exactly equal arrays, not just
 close ones.
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from helpers import BLOCK_ENDS, block_end_runs, operator_zoo, row_reference_run
+from helpers import BLOCK_ENDS, block_end_runs, formulation_trajectories, operator_zoo, row_reference_run
 
 ZOO = operator_zoo()
 
@@ -107,7 +107,7 @@ def test_trajectory_legs_equal_public_steps(pair, tau, seed):
     problem = dl.DrsProblem(A, B, tau=tau)
     z0 = 3.0 * np.random.default_rng(seed).standard_normal(n)
     iters = 25
-    trajs, _ = dl.formulation_trajectories(problem, z0, iters)
+    trajs, _ = formulation_trajectories(problem, z0, iters)
 
     recursion = [z0]
     for _ in range(iters):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import drslab as dl
-from drslab.operators import linear_matrix
-from helpers import operator_zoo, rotation, sample_points, spd_matrix
+from helpers import linear_matrix, operator_zoo, rotation, sample_points, spd_matrix
 
 
 def prox_grid_oracle(fun, tau, x, lo=-6.0, hi=6.0, num=240001):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import drslab as dl
-from helpers import monotone_matrix, rotation, spd_matrix
+from helpers import linear_matrix, monotone_matrix, rotation, spd_matrix
 
 
 def l1_quadratic_system():
@@ -171,7 +171,7 @@ def test_lifted_graph_pair_structure():
     assert np.array_equal(P, np.diag([4.0, 2.0]))
     assert np.array_equal(Q, np.array([[1.0, -1.0], [2.0, 1.0]]))
     assert not np.any(p) and not np.any(q)
-    assert np.array_equal(dl.linear_matrix(sys.L, 2), np.array([[0.25, -0.5], [0.5, 0.5]]))
+    assert np.array_equal(linear_matrix(sys.L, 2), np.array([[0.25, -0.5], [0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import drslab as dl
-from drslab.operators import linear_matrix
+from helpers import linear_matrix
 from test_kernel_bits import (
     CATALOG,
     CATALOG_IDS,

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import drslab as dl
+import helpers
 from drslab import blocks
-from drslab.operators import linear_matrix
+from helpers import linear_matrix, reduced_resolvent_fukushima
 
 # ---------------------------------------------------------------------------
 # the cycle tuple: cycle_sum and CycleWitness accept and reject alike
@@ -57,7 +58,7 @@ def test_documents_freeze_copies_of_their_arrays():
 # ---------------------------------------------------------------------------
 # the singular-matrix policy: each site maps numpy's LinAlgError to its own
 # error type and text.  Where no operator makes a site's matrix singular, the
-# test replaces the blocks function that feeds it.
+# test replaces the function that feeds it, in the module that calls it.
 
 
 def _quarter_turns():
@@ -90,10 +91,10 @@ SITES = {
         dl.SingularSystem, "lifted block matrix L is singular", None),
     "reduced_direct": (
         lambda: dl.reduced_resolvent_direct(_identities(), np.ones(2)),
-        dl.SingularSystem, "the reduced graph system G is singular", ZERO_PAIR),
+        dl.SingularSystem, "the reduced graph system G is singular", (blocks, *ZERO_PAIR)),
     "reduced_fukushima": (
-        lambda: dl.reduced_resolvent_fukushima(_identities(), np.ones(2)),
-        dl.SingularSystem, "L + K^T K is singular", ZERO_PAIR),
+        lambda: reduced_resolvent_fukushima(_identities(), np.ones(2)),
+        dl.SingularSystem, "L + K^T K is singular", (helpers, *ZERO_PAIR)),
     "classify_resolvent": (
         lambda: dl.classify_resolvent(np.zeros((2, 2))),
         dl.SingularMatrix, "resolvent matrix is singular", None),
@@ -107,7 +108,7 @@ SITES = {
 def test_singular_matrix_sites_keep_their_error_and_text(site, monkeypatch):
     call, error, message, patch = SITES[site]
     if patch is not None:
-        monkeypatch.setattr(blocks, *patch)
+        monkeypatch.setattr(*patch)
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call()
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
@@ -126,5 +127,5 @@ def test_lifted_paths_agree_with_the_direct_kernel_on_a_zero_block(side):
     V = np.random.default_rng(83).standard_normal((6, 2))
     direct = dl.reduced_resolvent_direct(system, V)
     via_gram = np.linalg.solve(np.eye(2) + dl.coupling_gram(system), V.T).T
-    for got in (dl.reduced_resolvent_fukushima(system, V), via_gram):
+    for got in (reduced_resolvent_fukushima(system, V), via_gram):
         assert np.max(np.abs(got - direct)) <= 1e-14 * max(1.0, np.max(np.abs(direct)))

@@ -15,7 +15,7 @@ import pytest
 import drslab as dl
 from drslab import blocks, ppa
 from drslab.catalog import random_monotone_matrix
-from drslab.operators import linear_matrix
+from helpers import formulation_trajectories, linear_matrix
 
 
 # catalog entries with a zero block, which has no dense inverse
@@ -122,7 +122,7 @@ def test_only_the_system_builds_the_lifted_operator(catalog_map, name, monkeypat
     assert len(built) == 2
     dl.ppa_step(system, dl.initial_state(system, np.ones(n)))
     assert len(built) == 2
-    dl.formulation_trajectories(p, np.ones(n), iters=10)
+    formulation_trajectories(p, np.ones(n), iters=10)
     assert len(built) == 4
 
 
@@ -132,7 +132,7 @@ def test_the_direct_reduced_leg_solves_nothing_per_step(monkeypatch):
     for iters in (10, 100):
         problem = dl.catalog_by_name("random_monotone_5d").problem
         solves, inverses = _counted(monkeypatch, np.linalg, "solve"), _counted(monkeypatch, np.linalg, "inv")
-        _, path = dl.formulation_trajectories(problem, np.ones(5), iters)
+        _, path = formulation_trajectories(problem, np.ones(5), iters)
         assert path == dl.REDUCED_DIRECT
         counts.append((len(solves), len(inverses)))
         monkeypatch.undo()

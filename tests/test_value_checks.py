@@ -207,6 +207,13 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: classified(symmetry_defect="0.5"), "'symmetry_defect' must hold numbers, got \"0.5\""),
     (lambda: classified(verdict="proximal"),
      "'verdict' is \"proximal\" in the document, but its fields give \"Proximal\""),
+    # a generator is finite, as an operator's coefficients are: a NaN read Inconclusive
+    (lambda: ResolventClassification([[float("nan")]]),
+     "recovered_M must be finite, got a NaN or infinite entry"),
+    (lambda: ResolventClassification([[1.0, float("inf")], [0.0, 1.0]]),
+     "recovered_M must be finite, got a NaN or infinite entry"),
+    (lambda: classified(recovered_M=[[1.0, 0.0], [0.0, float("nan")]]),
+     "recovered_M must be finite, got a NaN or infinite entry"),
     # a record's verdict and worst deviation are the ones its own data give
     (lambda: classified(recovered_M=[[0.0, -1.0], [1.0, 0.0]]),
      "'symmetry_defect' is 0.0 in the document, but its fields give 2.0"),
