@@ -43,7 +43,7 @@ from .operators import (
     MonotoneOperator,
     _check_operator,
     _check_tau,
-    _integer,
+    _count,
     _linalg,
     _points,
     graph_pair,
@@ -60,9 +60,7 @@ class BlockSystem(Document):
 
     def __post_init__(self):
         object.__setattr__(self, "tau", _check_tau(self.tau))
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "n"))
         for name, op in (("A", self.A), ("B", self.B)):
             _check_operator(op, name)
             if op.dim is not None and op.dim != self.n:

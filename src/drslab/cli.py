@@ -33,8 +33,8 @@ from .drs import (
     solution_certificate,
 )
 from .equivalence import _worst_deviation, compare_formulations
-from .errors import DimensionMismatch, DrslabError
-from .operators import Inverse, _integer, _moreau_defect, _numbers, _scalar, operator_from_dict
+from .errors import DrslabError
+from .operators import Inverse, _count, _dimension, _moreau_defect, _numbers, _scalar, operator_from_dict
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -72,11 +72,9 @@ def _operator(doc, key):
         raise CliError(f"bad {key!r} operator: {exc}") from exc
 
 
-def _number(gate, flag_value, doc, key, default):
-    """The flag, else the file's key, else the default, through the package's
-    number gate ``gate``, ``_scalar`` or ``_integer``."""
-    value = flag_value if flag_value is not None else doc.get(key, default)
-    return gate(value, key)
+def _seed(args, doc):
+    """--seed, else the file's "seed", else 0, through the package's gate for a seed."""
+    return _count(args.seed if args.seed is not None else doc.get("seed", 0), "seed", least=0)
 
 
 def _vector(doc, key):
@@ -103,14 +101,9 @@ def _build_problem(args, doc):
 
 
 def _file_dim(doc, what, n):
-    """The dimension n that ``what`` fixes, else the file's dim key, else None;
-    DimensionMismatch when the key is given and disagrees with n."""
-    if "dim" not in doc:
-        return n
-    dim = _number(_integer, None, doc, "dim", None)
-    if n is not None and dim != n:
-        raise DimensionMismatch(f"dim={dim} conflicts with {what} {n}")
-    return dim
+    """The dimension n that ``what`` fixes (None: nothing fixes one), else the
+    file's dim key, which passes the package's dimension gate against n."""
+    return _dimension(doc["dim"], n, what) if "dim" in doc else n
 
 
 def _problem_dim(problem, doc):
@@ -205,9 +198,8 @@ def cmd_check_cycle(args):
     doc = _load_document(args.problem)
     key = "op" if "op" in doc else "A"
     op = _operator(doc, key)
-    dim = None if doc.get("dim") is None else _number(_integer, None, doc, "dim", None)
-    seed = _number(_integer, args.seed, doc, "seed", 0)
-    witness = sample_cycles(op, args.n_max, args.trials, seed, dim=dim)
+    seed = _seed(args, doc)
+    witness = sample_cycles(op, args.n_max, args.trials, seed, dim=doc.get("dim"))
     payload = {
         "n_max": args.n_max,
         "trials": args.trials,
@@ -232,15 +224,8 @@ def cmd_witness_skew(args):
     n2, n1 = C.shape
     if "a1" in doc and "b1" in doc:
         _unused_seed(args, "the problem file gives a1 and b1", doc)
-    rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
-    if "a1" in doc:
-        a1 = _vector(doc, "a1")
-    else:
-        a1 = rng.standard_normal(n1)
-        for _ in range(100):
-            if np.linalg.norm(C @ a1) > 1e-12:
-                break
-            a1 = rng.standard_normal(n1)
+    rng = np.random.default_rng(_seed(args, doc))
+    a1 = _vector(doc, "a1") if "a1" in doc else rng.standard_normal(n1)
     b1 = _vector(doc, "b1") if "b1" in doc else rng.standard_normal(n2)
     witness = skew_three_cycle(C, a1, b1)
     _emit_json(args, witness.to_dict())
@@ -269,16 +254,14 @@ def cmd_moreau_check(args):
         named = [(key, _operator(doc, key)) for key in ("A", "B") if key in doc]
     if not named:
         raise CliError("moreau-check needs an 'op' or 'A'/'B' operator")
-    if args.trials < 1:
-        raise CliError(f"--trials must be at least 1, got {args.trials}")
-    tau = _number(_scalar, args.tau, doc, "tau", 1.0)
-    rng = np.random.default_rng(_number(_integer, args.seed, doc, "seed", 0))
+    trials = _count(args.trials, "--trials")
+    tau = _scalar(args.tau if args.tau is not None else doc.get("tau", 1.0), "tau")
+    rng = np.random.default_rng(_seed(args, doc))
     per_op = {}
     for key, op in named:
-        d = _file_dim(doc, "operator dimension", op.dim)
-        d = 1 if d is None else d
+        d = _file_dim(doc, "operator dimension", op.dim) or 1
         inverse = Inverse(op)  # one inversion of the swapped graph pair for all trials
-        residuals = [_moreau_defect(op, inverse, tau, rng.standard_normal(d)) for _ in range(args.trials)]
+        residuals = [_moreau_defect(op, inverse, tau, rng.standard_normal(d)) for _ in range(trials)]
         per_op[key] = max(residuals)
     worst = max(per_op.values())
     payload = {
@@ -286,11 +269,11 @@ def cmd_moreau_check(args):
         "per_operator": per_op,
         "tau": tau,
         "tolerance": MOREAU_TOL,
-        "trials": args.trials,
+        "trials": trials,
         "ok": worst <= MOREAU_TOL,
     }
     _emit_json(args, payload)
-    _say(f"max residual {worst:.3e} over {args.trials} points per operator")
+    _say(f"max residual {worst:.3e} over {trials} points per operator")
     return EXIT_OK if worst <= MOREAU_TOL else EXIT_ERROR
 
 

@@ -39,8 +39,9 @@ from .operators import (
     Document,
     _check_monotone,
     _check_square,
+    _count,
+    _dimension,
     _finite_array,
-    _integer,
     _linalg,
     _numbers,
     _points,
@@ -261,18 +262,9 @@ def sample_cycles(op, n_max, trials, seed, dim=None):
     points until the first witness, so memory does not grow with
     ``trials``; the witness is the one a single draw of all trials gives.
     """
-    n_max, trials = _integer(n_max, "n_max"), _integer(trials, "trials")
-    seed, dim = _integer(seed, "seed"), None if dim is None else _integer(dim, "dim")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if dim is not None and op.dim is not None and dim != op.dim:
-        raise DimensionMismatch(f"dim={dim} conflicts with operator dimension {op.dim}")
-    d = dim if dim is not None else (op.dim if op.dim is not None else 1)
-    if d < 1:
-        raise ValueError(f"dim must be at least 1, got {d}")
-    rng = np.random.default_rng(seed)
+    n_max, trials = _count(n_max, "n_max", least=2), _count(trials, "trials")
+    rng = np.random.default_rng(_count(seed, "seed", least=0))
+    d = (op.dim or 1) if dim is None else _dimension(dim, op.dim, "operator dimension")
     for n in range(2, n_max + 1):
         per_block = max(1, _BLOCK_ROWS // n)
         for start in range(0, trials, per_block):
@@ -298,13 +290,9 @@ def drs_map_matrix(problem, dim=None):
     the images of the basis vectors.  NotLinear unless both operators have a
     graph pair and the map, then affine, sends 0 to 0 (to 1e-10).
     """
-    n = _integer(dim, "dim") if dim is not None else problem.dim
+    n = problem.dim if dim is None else _dimension(dim, problem.dim, "problem dimension")
     if n is None:
         raise ValueError("problem dimension cannot be inferred; pass dim=")
-    if problem.dim is not None and n != problem.dim:
-        raise DimensionMismatch(f"dim={n} conflicts with problem dimension {problem.dim}")
-    if n < 1:
-        raise ValueError(f"dim must be at least 1, got {n}")
     graph_pair(problem.A, n)
     graph_pair(problem.B, n)
     shift = float(np.linalg.norm(relaxed_step(problem, np.zeros(n))))

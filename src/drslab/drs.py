@@ -34,7 +34,7 @@ from .operators import (
     MonotoneOperator,
     _check_operator,
     _check_tau,
-    _integer,
+    _count,
     _norm,
     _points,
     _scalar,
@@ -99,9 +99,9 @@ class DrsProblem(Document):
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _scalar(self.gamma, "gamma"))
-        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
+        object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters"))
         object.__setattr__(self, "stop_tol", _scalar(self.stop_tol, "stop_tol"))
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", least=0))
         object.__setattr__(self, "tau", _check_tau(self.tau))
         if not 0.0 < self.gamma <= 2.0:
             raise ValueError(f"gamma must lie in (0, 2], got {self.gamma}")
@@ -110,12 +110,8 @@ class DrsProblem(Document):
                 "gamma = 2 is only nonexpansive, not averaged; convergence is not guaranteed",
                 stacklevel=2,
             )
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if not self.stop_tol > 0.0:
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         _check_operator(self.A, "A")
         _check_operator(self.B, "B")
         da, db = self.A.dim, self.B.dim

@@ -28,7 +28,7 @@ import numpy as np
 from .blocks import BlockSystem, _direct_kernel, _drs_kernel
 from .drs import _splitting_rows, _start_vector
 from .errors import NotLinear
-from .operators import Document, _integer, _scalar
+from .operators import Document, _count, _scalar
 from .ppa import _lifted_rows
 
 RECURSION = "recursion"
@@ -52,7 +52,7 @@ class EquivalenceReport(Document):
     _written = ("max_deviation",)
 
     def __post_init__(self):
-        object.__setattr__(self, "iters", _integer(self.iters, "iters"))
+        object.__setattr__(self, "iters", _count(self.iters, "iters"))
         if self.reduced_path not in (REDUCED_DIRECT, REDUCED_FALLBACK):
             raise ValueError(f"unknown reduced_path {self.reduced_path!r}")
         for name in ("pairwise", "step_defects"):
@@ -88,9 +88,7 @@ def _recursion(problem, z0, iters):
             f"got gamma = {problem.gamma}"
         )
     z0 = _start_vector(problem, z0)
-    iters = _integer(iters, "iters")
-    if iters < 1:
-        raise ValueError(f"iters must be at least 1, got {iters}")
+    iters = _count(iters, "iters")
     system = BlockSystem(problem.A, problem.B, problem.tau, z0.shape[0])
     A, B, tau = problem.A, problem.B, problem.tau
     zs = _trajectory(lambda Z: _splitting_rows(A, B, tau, Z)[0], z0, iters)

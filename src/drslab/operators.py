@@ -29,11 +29,14 @@ is the method ``X.dot`` and every 2-norm ``_norm``: ``tests/test_kernel_bits.py`
 holds each to the bits of the ``@`` and ``np.linalg.norm`` forms.
 
 Construction.  Every field passes the one number gate (``_numbers``, through
-``_scalar`` for one number, ``_integer`` for a count or a seed and
-``_check_tau`` for a step size), and every coefficient matrix and vector must
-be finite.  Every array a caller hands a function of the package (a point, a
-row stack, a vector or a matrix) is read by ``_points``: a float64 array as
-it is, with no copy, anything else through the same gate.  ``_check_monotone``
+``_scalar`` for one number, ``_integer`` for an integer and ``_check_tau`` for
+a step size), and every coefficient matrix and vector must be finite.  Every
+count and seed passes ``_count``, which also holds its floor, and every
+dimension a caller gives passes ``_dimension``, which first holds it to the
+dimension the operators or a point fix: each bound is written once.  Every
+array a caller hands a function of the package (a point, a row stack, a
+vector or a matrix) is read by ``_points``: a float64 array as it is, with no
+copy, anything else through the same gate.  ``_check_monotone``
 proves the matrix of a ``LinearRelation`` or ``Quadratic``, and the generator
 ``classify_resolvent`` recovers, monotone with one Cholesky factorization
 (n^3/3 flops) of the shifted symmetric part, which is formed without overflow.
@@ -132,14 +135,33 @@ def _scalar(value, name):
 
 
 def _integer(value, name):
-    """The number gate for a count or a seed: an int, else ValueError for a
-    number with a fraction part, or for a non-number as in ``_numbers``."""
+    """The number gate for an integer: an int, else ValueError for a number
+    with a fraction part, or for a non-number as in ``_numbers``."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)  # exact, where a float would round a large one
     number = _scalar(value, name)
     if not number.is_integer():
         raise ValueError(f"{name!r} must be an integer, got {number!r}")
     return int(number)
+
+
+def _count(value, name, least=1):
+    """The gate for a count or, at ``least`` 0, a seed: ``_integer``, then ValueError below least."""
+    value = _integer(value, name)
+    if value < least:
+        text = f"{name} must be nonnegative" if least == 0 else f"{name} must be at least {least}"
+        raise ValueError(f"{text}, got {value}")
+    return value
+
+
+def _dimension(dim, known, what):
+    """The gate for a caller's dimension: DimensionMismatch when it disagrees
+    with the dimension ``known`` that ``what`` fixes (None: nothing fixes one),
+    then ``_count``."""
+    dim = _integer(dim, "dim")
+    if known is not None and dim != known:
+        raise DimensionMismatch(f"dim={dim} conflicts with {what} {known}")
+    return _count(dim, "dim")
 
 
 def _check_square(M, name):

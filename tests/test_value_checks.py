@@ -179,7 +179,7 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.compare_formulations(problem(), ["1"]), "'z0' must hold numbers, got [\"1\"]"),
     (lambda: dl.reduced_resolvent_via_drs(system(), ["1"]), "'v' must hold numbers, got [\"1\"]"),
     (lambda: dl.symmetric_part([[1.0, None]]), "'M' must hold numbers, got [[1.0, null]]"),
-    # counts and tolerances pass _integer and _scalar
+    # counts and tolerances pass _count and _scalar
     (lambda: dl.compare_formulations(problem(), [1.0], True), "'iters' must hold numbers, got true"),
     (lambda: dl.compare_formulations(problem(), [1.0], "5"), "'iters' must hold numbers, got \"5\""),
     (lambda: dl.compare_formulations(problem(), [1.0], 2.5), "'iters' must be an integer, got 2.5"),
@@ -187,6 +187,7 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.sample_cycles(SKEW, True, 10, 0), "'n_max' must hold numbers, got true"),
     (lambda: dl.sample_cycles(SKEW, 3, 10, "0"), "'seed' must hold numbers, got \"0\""),
     (lambda: dl.sample_cycles(dl.Zero(), 3, 10, 0, dim=True), "'dim' must hold numbers, got true"),
+    (lambda: dl.sample_cycles(SKEW, 3, 10, -1), "seed must be nonnegative, got -1"),
     (lambda: dl.graph_member(dl.Zero(), [0.0], [0.0], tol=True), "'tol' must hold numbers, got true"),
     (lambda: dl.graph_member(dl.Zero(), [0.0], [0.0], tol=0.0), "tol must be positive, got 0.0"),
     (lambda: dl.drs_map_matrix(problem(), dim=True), "'dim' must hold numbers, got true"),
@@ -194,6 +195,8 @@ SKEW = dl.LinearRelation(rotation())
     # the documents of records, reports and classifications
     (lambda: report(max_deviation="x"), "'max_deviation' must hold numbers, got \"x\""),
     (lambda: report(iters=True), "'iters' must hold numbers, got true"),
+    (lambda: report(iters=0), "iters must be at least 1, got 0"),
+    (lambda: report(iters=-5), "iters must be at least 1, got -5"),
     (lambda: report(reduced_path=3), "unknown reduced_path 3"),
     (lambda: report(pairwise=None), "pairwise must map pair names to numbers, got None"),
     (lambda: report(pairwise={"recursion-lifted": "0"}), "'recursion-lifted' must hold numbers, got \"0\""),
