@@ -72,9 +72,16 @@ def _operator(doc, key):
         raise CliError(f"bad {key!r} operator: {exc}") from exc
 
 
+def _setting(args, doc, key, default):
+    """The flag of ``key`` when given, else the file's key (a null as it is, for
+    the gate to name), else ``default``."""
+    flag = getattr(args, key, None)
+    return flag if flag is not None else doc.get(key, default)
+
+
 def _seed(args, doc):
-    """--seed, else the file's "seed", else 0, through the package's gate for a seed."""
-    return _count(args.seed if args.seed is not None else doc.get("seed", 0), "seed", least=0)
+    """The seed setting, through the package's gate for a seed."""
+    return _count(_setting(args, doc, "seed", 0), "seed", least=0)
 
 
 def _vector(doc, key):
@@ -87,17 +94,10 @@ _SETTINGS = ("tau", "gamma", "max_iters", "stop_tol", "seed")
 
 
 def _build_problem(args, doc):
-    """The problem of the file's operators and of the settings given as a flag
-    or a document key, which DrsProblem gates; its defaults fill in the others."""
-    A, B = _operator(doc, "A"), _operator(doc, "B")
-    settings = {}
-    for key in _SETTINGS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-        elif key in doc:
-            settings[key] = doc[key]
-    return DrsProblem(A, B, **settings)
+    """The problem of the file's operators and settings, which DrsProblem gates;
+    a setting given nowhere takes DrsProblem's default."""
+    settings = {key: _setting(args, doc, key, getattr(DrsProblem, key)) for key in _SETTINGS}
+    return DrsProblem(_operator(doc, "A"), _operator(doc, "B"), **settings)
 
 
 def _file_dim(doc, what, n):
@@ -120,15 +120,19 @@ def _problem_dim(problem, doc):
 
 def _unused_seed(args, reason, doc=()):
     """CliError when --seed or ``doc``'s "seed" is given but draws nothing, because ``reason``."""
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         raise CliError(f"--seed draws nothing here: {reason}")
     if "seed" in doc:
         raise CliError(f"'seed' draws nothing here: {reason}")
 
 
-def _start_point(problem, doc):
+def _start_point(args, problem, doc, fill=np.zeros):
+    """The file's z0, which a --seed then cannot draw, else ``fill(n)`` for the problem's dimension n."""
     n = _problem_dim(problem, doc)
-    return _start_vector(problem, doc["z0"]) if "z0" in doc else np.zeros(n)
+    if "z0" not in doc:
+        return fill(n)
+    _unused_seed(args, "the problem file gives z0")
+    return _start_vector(problem, doc["z0"])
 
 
 def _emit(args, text):
@@ -151,11 +155,9 @@ def _format_vector(v):
     return "[" + ", ".join(format(x, ".12g") for x in np.atleast_1d(v)) + "]"
 
 
-def cmd_run_drs(args):
-    doc = _load_document(args.problem)
+def cmd_run_drs(args, doc):
     problem = _build_problem(args, doc)
-    z0 = _start_point(problem, doc)
-    record = run(problem, z0)
+    record = run(problem, _start_point(args, problem, doc))
     if record.status == NONFINITE:
         _say(f"error: iterates became non-finite at iteration {len(record)}")
         return EXIT_ERROR
@@ -174,15 +176,9 @@ def cmd_run_drs(args):
     return EXIT_OK if certified else EXIT_NO_CONVERGENCE
 
 
-def cmd_check_equivalence(args):
-    doc = _load_document(args.problem)
+def cmd_check_equivalence(args, doc):
     problem = _build_problem(args, doc)
-    n = _problem_dim(problem, doc)
-    if "z0" in doc:
-        _unused_seed(args, "the problem file gives z0")
-        z0 = _vector(doc, "z0")
-    else:
-        z0 = np.random.default_rng(problem.seed).standard_normal(n)
+    z0 = _start_point(args, problem, doc, np.random.default_rng(problem.seed).standard_normal)
     iters = {} if args.iters is None else {"iters": args.iters}
     report = compare_formulations(problem, z0, **iters)
     _emit_json(args, report.to_dict())
@@ -194,11 +190,9 @@ def cmd_check_equivalence(args):
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def cmd_check_cycle(args):
-    doc = _load_document(args.problem)
+def cmd_check_cycle(args, doc):
     key = "op" if "op" in doc else "A"
-    op = _operator(doc, key)
-    seed = _seed(args, doc)
+    op, seed = _operator(doc, key), _seed(args, doc)
     witness = sample_cycles(op, args.n_max, args.trials, seed, dim=doc.get("dim"))
     payload = {
         "n_max": args.n_max,
@@ -208,14 +202,14 @@ def cmd_check_cycle(args):
     }
     _emit_json(args, payload)
     if witness is None:
-        _say(f"no violation found up to cycles of length {args.n_max}")
+        summary = f"no violation found in {key!r} up to cycles of length {args.n_max}"
     else:
-        _say(f"violation found: cycle of length {witness.n}, sum {witness.cycle_sum:.6g}")
+        summary = f"violation found in {key!r}: cycle of length {witness.n}, sum {witness.cycle_sum:.6g}"
+    _say(summary + (" ('B' is not sampled: give it as 'op')" if key == "A" and "B" in doc else ""))
     return EXIT_OK
 
 
-def cmd_witness_skew(args):
-    doc = _load_document(args.problem)
+def cmd_witness_skew(args, doc):
     if "C" not in doc:
         raise CliError("witness-skew needs a 'C' matrix in the problem file")
     C = _vector(doc, "C")
@@ -233,8 +227,7 @@ def cmd_witness_skew(args):
     return EXIT_OK if witness.certifies else EXIT_ERROR
 
 
-def cmd_classify_resolvent(args):
-    doc = _load_document(args.problem)
+def cmd_classify_resolvent(args, doc):
     problem = _build_problem(args, doc)
     dim = _problem_dim(problem, doc)
     T = drs_map_matrix(problem, dim=dim)
@@ -246,16 +239,15 @@ def cmd_classify_resolvent(args):
     return EXIT_OK
 
 
-def cmd_moreau_check(args):
-    doc = _load_document(args.problem)
+def cmd_moreau_check(args, doc):
     if "op" in doc:
         named = [("op", _operator(doc, "op"))]
     else:
         named = [(key, _operator(doc, key)) for key in ("A", "B") if key in doc]
     if not named:
         raise CliError("moreau-check needs an 'op' or 'A'/'B' operator")
-    trials = _count(args.trials, "--trials")
-    tau = _scalar(args.tau if args.tau is not None else doc.get("tau", 1.0), "tau")
+    trials = _count(args.trials, "trials")
+    tau = _scalar(_setting(args, doc, "tau", 1.0), "tau")
     rng = np.random.default_rng(_seed(args, doc))
     per_op = {}
     for key, op in named:
@@ -333,7 +325,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_document(args.problem))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -46,6 +46,7 @@ from .operators import (
     _numbers,
     _points,
     _scalar,
+    _symmetry_defect,
     graph_pair,
     resolve,
 )
@@ -128,15 +129,8 @@ class ResolventClassification(Document):
 
 
 def _symmetry_verdict(M):
-    """(defect, verdict) of a generator M: the symmetry defect
-    ||M - M^T|| / max(1, ||M||) against the thresholds 1e-8 and 1e-6.  Where
-    a norm could overflow, M is first scaled by an exact power of two, as in
-    ``_check_monotone``; ||M|| > 1 there, so the ratio keeps its bits."""
-    unit = 1.0
-    if not float(np.abs(M).max(initial=0.0)) * len(M) < 2.0**500:
-        unit = 2.0 ** (600 + len(M).bit_length())
-        M = M / unit
-    defect = float(np.linalg.norm(M - M.T) / max(1.0 / unit, float(np.linalg.norm(M))))
+    """(defect, verdict) of a generator M: its ``_symmetry_defect`` against 1e-8 and 1e-6."""
+    defect = _symmetry_defect(M)
     return defect, PROXIMAL if defect <= 1e-8 else NOT_PROXIMAL if defect > 1e-6 else INCONCLUSIVE
 
 
@@ -315,6 +309,7 @@ def classify_resolvent(T):
     """
     T = _points(T, "T")
     _check_square(T, "T")
+    T = _finite_array(T, 2, "T")
     T_inv = _linalg(np.linalg.inv, SingularMatrix, "resolvent matrix is singular", T)
     M = T_inv - np.eye(T.shape[0])
     _check_monotone(M, "recovered generator", tol=1e-8, floor=1.0)

@@ -164,6 +164,17 @@ def _dimension(dim, known, what):
     return _count(dim, "dim")
 
 
+def _symmetry_defect(M):
+    """||M - M^T|| / max(1, ||M||) of a square matrix M.  Where a norm could
+    overflow, M is first scaled by an exact power of two, as in
+    ``_check_monotone``; ||M|| > 1 there, so the ratio keeps its bits."""
+    unit = 1.0
+    if not float(np.abs(M).max(initial=0.0)) * len(M) < 2.0**500:
+        unit = 2.0 ** (600 + len(M).bit_length())
+        M = M / unit
+    return float(np.linalg.norm(M - M.T) / max(1.0 / unit, float(np.linalg.norm(M))))
+
+
 def _check_square(M, name):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
@@ -478,9 +489,9 @@ class Quadratic(MonotoneOperator):
     def __post_init__(self):
         Q = _finite_array(self.Q, 2, "Q")
         _check_square(Q, "Q")
-        defect = np.linalg.norm(Q - Q.T)
-        if defect > TOL_SYM * max(1.0, float(np.linalg.norm(Q))):
-            raise ValueError(f"Q must be symmetric, asymmetry {defect:.3e}")
+        defect = _symmetry_defect(Q)
+        if defect > TOL_SYM:
+            raise ValueError(f"Q must be symmetric, relative asymmetry {defect:.3e}")
         _check_monotone(Q, "Q")
         q = _finite_array(self.q, 1, "q")
         if q.shape[0] != Q.shape[0]:

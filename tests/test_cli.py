@@ -164,10 +164,15 @@ def test_underdetermined_dimension_exits_one(tmp_path, capsys):
     assert "dim" in captured.err
 
 
-@pytest.mark.parametrize("key", ["tau", "gamma", "max_iters", "stop_tol", "seed"])
-def test_null_setting_exits_one_naming_the_key(tmp_path, capsys, key):
+@pytest.mark.parametrize(
+    "command, key",
+    [pytest.param("run-drs", key, id=key) for key in ("tau", "gamma", "max_iters", "stop_tol", "seed")]
+    + [pytest.param("moreau-check", "tau", id="moreau-check-tau")],
+)
+def test_null_setting_exits_one_naming_the_key(tmp_path, capsys, command, key):
+    # a null in the file is a value given, not a setting left out
     path = write_doc(tmp_path, dict(L1_QUAD, z0=[5.0], **{key: None}))
-    code = main(["run-drs", "--problem", path])
+    code = main([command, "--problem", path])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert captured.err == f"error: {key!r} must hold numbers, got null\n"
@@ -370,7 +375,8 @@ def test_moreau_check_rejects_zero_trials(tmp_path, capsys):
     code = main(["moreau-check", "--problem", path, "--trials", "0"])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
-    assert captured.err == "error: --trials must be at least 1, got 0\n"
+    # worded as check-cycle's --trials 0 and check-equivalence's --iters 0 are
+    assert captured.err == "error: trials must be at least 1, got 0\n"
     assert captured.out == ""
 
 
@@ -380,6 +386,7 @@ def test_moreau_check_rejects_zero_trials(tmp_path, capsys):
         ("witness-skew", {"C": [[1.0, 2.0], [0.5, -1.0]]}),
         ("moreau-check", {"op": {"type": "linear", "M": [[1.0, -3.0], [3.0, 0.25]]}}),
         ("check-cycle", {"op": {"type": "linear", "M": [[0.0, -1.0], [1.0, 0.0]]}}),
+        ("check-equivalence", SKEW),
     ],
 )
 def test_document_seed_is_read_and_the_flag_overrides_it(tmp_path, capsys, command, doc):
@@ -612,6 +619,25 @@ def test_check_cycle_accepts_a_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert json.loads(captured.out)["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ({"op": SKEW["A"]}, "violation found in 'op': cycle of length 3, sum "),
+        ({"A": SKEW["A"]}, "violation found in 'A': cycle of length 3, sum "),
+        # B alone has a witness, so the text says that only A was sampled
+        ({"A": {"type": "zero"}, "B": SKEW["A"], "dim": 2},
+         "no violation found in 'A' up to cycles of length 6 ('B' is not sampled: give it as 'op')\n"),
+    ],
+    ids=["op", "A", "A-and-B"],
+)
+def test_check_cycle_names_the_operator_it_sampled(tmp_path, capsys, doc, err):
+    code = main(["check-cycle", "--problem", write_doc(tmp_path, doc), "--trials", "200"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err.startswith(err)
+    assert json.loads(captured.out)["n_max"] == 6
 
 
 @pytest.mark.parametrize(

@@ -192,6 +192,16 @@ SKEW = dl.LinearRelation(rotation())
     (lambda: dl.graph_member(dl.Zero(), [0.0], [0.0], tol=0.0), "tol must be positive, got 0.0"),
     (lambda: dl.drs_map_matrix(problem(), dim=True), "'dim' must hold numbers, got true"),
     (lambda: dl.drs_map_matrix(problem(), dim=2.5), "'dim' must be an integer, got 2.5"),
+    # Q's symmetry is read scale-free, so it holds where ||Q - Q^T|| and ||Q|| overflow
+    *(pytest.param(lambda s=s: dl.Quadratic([[s, s], [-s, s]], [0.0, 0.0]),
+                   "Q must be symmetric, relative asymmetry 1.414e+00",
+                   marks=pytest.mark.filterwarnings("error"), id=f"asymmetric-Q-{s:g}")
+      for s in (1e160, 1e300)),
+    # a matrix with a NaN or infinite entry is no map: named as T, before any generator is read
+    (lambda: dl.classify_resolvent([[float("inf"), 0.0], [0.0, 1.0]]),
+     "T must be finite, got a NaN or infinite entry"),
+    (lambda: dl.classify_resolvent([[float("nan"), 0.0], [0.0, 1.0]]),
+     "T must be finite, got a NaN or infinite entry"),
     # the documents of records, reports and classifications
     (lambda: report(max_deviation="x"), "'max_deviation' must hold numbers, got \"x\""),
     (lambda: report(iters=True), "'iters' must hold numbers, got true"),
